@@ -38,7 +38,7 @@ from .capacity import (
     skip_vector_lower_bound,
     upper_bound_uniform_capacity,
 )
-from .montecarlo import CurveSpec, FreeEnergyEstimate, estimate_polymer, estimate_quenched, mutual_info_curve
+from .montecarlo import CurveSpec, FreeEnergyEstimate, curve, estimate_polymer, estimate_quenched, mutual_info_point
 from .alignment import (
     AlignmentParams,
     Partition,

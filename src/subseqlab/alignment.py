@@ -367,27 +367,37 @@ class AlignmentExperiment:
         return self.null_good / self.trials
 
 
+TYPICAL_RETRIES = 64  # draws per trial and law that may be spent finding a typical x
+
+
 def alignment_trials(alpha: float, b: int, n: int, trials: int, seed: Seed):
     """Yield ("planted", x, y) then ("null", x, y) for each trial, on typical
     ambient strings of length n and |y| = floor(alpha n).
 
-    Trial t draws from the substream block [1000*t, 1000*(t+1)).  Pairs are
-    drawn lazily, so a consumer's work on one pair runs before the next draw.
+    Trial t draws from the substream block [1000*t, 1000*(t+1)).  Each law
+    redraws x up to TYPICAL_RETRIES times until it is typical, and raises
+    ValueError when none is.  Pairs are drawn lazily, so a consumer's work on
+    one pair runs before the next draw.
     """
     m = embedded_length(alpha, n)
+    exhausted = f"no typical ambient string at b = {b} in {TYPICAL_RETRIES} draws"
     for t in range(trials):
         base = 1000 * t
         # Planted trial: resample until the ambient string is typical.
-        for retry in range(64):
+        for retry in range(TYPICAL_RETRIES):
             d = sample_planted(n, m, seed.substream(base + retry))
             if is_typical(d.x, b):
                 break
+        else:
+            raise ValueError(exhausted)
         yield "planted", d.x, d.y
         # Null trial: independent typical x and uniform y.
-        for retry in range(64):
+        for retry in range(TYPICAL_RETRIES):
             x = sample_uniform_string(n, seed.substream(base + 100 + retry))
             if is_typical(x, b):
                 break
+        else:
+            raise ValueError(exhausted)
         yield "null", x, sample_uniform_string(m, seed.substream(base + 200))
 
 

@@ -156,28 +156,6 @@ def planted_objective(alpha: float, rho: float) -> float:
 
 
 @dataclass(frozen=True)
-class VariationalPoint:
-    """One evaluated point of the outer optimization over rho."""
-
-    rho: float
-    x: float
-    y: float
-    z_value: float
-    phi: float
-    objective: float
-
-
-def variational_point(alpha: float, rho: float) -> VariationalPoint:
-    """Bundle (x, y, Z, Phi, objective) at one rho; raises when the series
-    discriminant is not positive there."""
-    x = x_of_rho(alpha, rho)
-    y = y_of_rho(alpha, rho)
-    z = pair_mgf_closed_form(x, y)  # validates the discriminant
-    phi = math.log(z) - math.log(x) / (alpha * rho) - math.log(y) / rho
-    return VariationalPoint(rho=rho, x=x, y=y, z_value=z, phi=phi, objective=alpha * rho * phi)
-
-
-@dataclass(frozen=True)
 class AnnealedPlantedSolution:
     """Closed-form solution bundle for the planted annealed free energy."""
 

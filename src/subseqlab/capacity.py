@@ -12,10 +12,8 @@ only exists in log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
-from .annealed import LN2, null_annealed, planted_annealed
+from .annealed import LN2, planted_annealed
 from .special import binary_entropy, normal_cdf
 
 LN10 = math.log(10.0)
@@ -88,45 +86,6 @@ def log10_explicit_lower_bound(p: float) -> float:
     return log_explicit_lower_bound(p) / LN10
 
 
-@dataclass(frozen=True)
-class CapacityBounds:
-    """All analytic curves at one deletion probability, plus an optional
-    simulation estimate attached by the Monte Carlo driver."""
-
-    p: float
-    alpha: float
-    lower_dgv: float
-    upper_annealed: float
-    log10_explicit_lower: Optional[float] = None
-    mc_estimate: Optional[float] = None
-    mc_stderr: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class ExplicitBoundConstants:
-    """Constants feeding the explicit positive lower bound at one alpha."""
-
-    alpha: float
-    beta: float
-    beta_star: float
-    log_kappa: float
-
-
-def explicit_bound_constants(alpha: float) -> ExplicitBoundConstants:
-    b = beta_alpha(alpha)
-    return ExplicitBoundConstants(alpha=alpha, beta=b, beta_star=b / 40.0, log_kappa=log_kappa(alpha))
-
-
-def capacity_bounds(p: float) -> CapacityBounds:
-    return CapacityBounds(
-        p=p,
-        alpha=1.0 - p,
-        lower_dgv=dgv_lower_bound(p),
-        upper_annealed=upper_bound_uniform_capacity(p),
-        log10_explicit_lower=log10_explicit_lower_bound(p) if 0 < p < 1 else None,
-    )
-
-
 __all__ = [
     "upper_bound_uniform_capacity",
     "dgv_lower_bound",
@@ -136,9 +95,4 @@ __all__ = [
     "log_kappa",
     "log_explicit_lower_bound",
     "log10_explicit_lower_bound",
-    "capacity_bounds",
-    "CapacityBounds",
-    "ExplicitBoundConstants",
-    "explicit_bound_constants",
-    "null_annealed",
 ]

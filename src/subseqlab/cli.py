@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
@@ -26,7 +25,7 @@ from . import __version__
 from .alignment import alignment_experiment
 from .annealed import LN2
 from .core import BitString, Seed
-from .montecarlo import CurveSpec, mutual_info_point, polymer_comparison_curve
+from .montecarlo import CurveSpec, curve, mutual_info_point, polymer_comparison_curve
 from .partition import count_embeddings_exact
 from .svg import render_line_chart
 from . import verify as verify_mod
@@ -84,25 +83,6 @@ def _write_table(header, rows, config: RunConfig, out_path: Optional[str]):
         sys.stdout.write(text)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("RSM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"RSM_THREADS must be an integer, got {raw!r}")
-
-
-def _grid_map(fn, args_list):
-    """Evaluate fn over the grid, in parallel when RSM_THREADS > 1; output
-    order follows grid order regardless of completion order."""
-    workers = _worker_count()
-    if workers == 1 or len(args_list) <= 1:
-        return [fn(*a) for a in args_list]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *a) for a in args_list]
-        return [f.result() for f in futures]
-
-
 def _parse_grid(text: str):
     vals = tuple(float(v) for v in text.split(",") if v.strip() != "")
     if not vals:
@@ -137,11 +117,7 @@ def cmd_figure1(args) -> int:
         command="figure1", grid=spec.grid, n=spec.n, samples=spec.samples,
         seed=args.seed, bits=args.bits, fmt=args.format,
     )
-    work = [
-        (p, spec.n, spec.samples, spec.seed.substream(g * spec.samples))
-        for g, p in enumerate(spec.grid)
-    ]
-    rows_raw = _grid_map(mutual_info_point, work)
+    rows_raw = curve(mutual_info_point, spec)
     u = _unit_scale(args.bits)
     header = ["p", "dgv_lower", "mc_capacity", "mc_stderr", "upper_annealed", "zero_fraction"]
     rows = [
@@ -172,8 +148,6 @@ def cmd_figure1(args) -> int:
 def cmd_figure2(args) -> int:
     grid = _parse_grid(args.alphas)
     spec = CurveSpec(grid=grid, n=args.n, samples=args.samples, seed=Seed(args.seed))
-    if any(not 0 < a <= 0.5 for a in spec.grid):
-        raise ValueError("alpha grid must lie in (0, 1/2]")
     config = RunConfig(
         command="figure2", grid=spec.grid, n=spec.n, samples=spec.samples,
         seed=args.seed, bits=args.bits, fmt=args.format,

@@ -115,6 +115,12 @@ class BitString:
         return f"BitString({s!r})"
 
 
+def all_bitstrings(n: int):
+    """Yield all 2^n strings of length n; string w has bit k of w at position k."""
+    for word in range(1 << n):
+        yield BitString(np.fromiter(((word >> k) & 1 for k in range(n)), dtype=np.uint8, count=n))
+
+
 class DisorderLaw(Enum):
     NULL = "null"
     PLANTED = "planted"

@@ -10,8 +10,10 @@ so callers can re-weight.
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -20,7 +22,7 @@ import numpy as np
 
 from .capacity import dgv_lower_bound, upper_bound_uniform_capacity
 from .annealed import LN2, null_annealed, strict_weak_value
-from .core import BitString, Seed, embedded_length, sample_channel, sample_null, sample_planted
+from .core import Seed, all_bitstrings, embedded_length, sample_channel, sample_null, sample_planted
 from .partition import (
     IidBernoulliHalf,
     IidGamma,
@@ -50,8 +52,18 @@ class FreeEnergyEstimate:
     zero_fraction: float
 
 
-def _aggregate(values: np.ndarray, zeros: int, alpha: float, n: int, model: str) -> FreeEnergyEstimate:
-    samples = values.size
+def _sample_mean(environment, alpha: float, n: int, samples: int, seed: Seed, model: str) -> FreeEnergyEstimate:
+    """The sample loop shared by every estimator: sample i runs the log-domain
+    DP on environment(seed.substream(i)) and contributes (1/n) log Z, with
+    log 0 := 0 and the zero count reported as zero_fraction."""
+    values = np.empty(samples)
+    zeros = 0
+    for i in range(samples):
+        logz = log_count_embeddings(environment(seed.substream(i)))
+        if logz == float("-inf"):
+            zeros += 1
+            logz = 0.0
+        values[i] = logz / n
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return FreeEnergyEstimate(
@@ -75,24 +87,19 @@ def estimate_quenched(model: str, alpha: float, n: int, samples: int, seed: Seed
         warnings.warn("null disorder at alpha >= 1/2 has Z = 0 with high probability; "
                       "the mean is dominated by the log 0 := 0 convention")
     m = embedded_length(alpha, n)
-    values = np.empty(samples)
-    zeros = 0
-    for i in range(samples):
-        sub = seed.substream(i)
-        if model == NULL:
-            d = sample_null(n, m, sub)
-        elif model == PLANTED:
-            d = sample_planted(n, m, sub)
-        elif model == PLANTED_BDC:
-            d = sample_channel(n, 1.0 - alpha, sub)
-        else:
-            raise ValueError(f"unknown disorder model {model!r}")
-        logz = log_count_embeddings(RankOneIndicator(d.x, d.y))
-        if logz == float("-inf"):
-            zeros += 1
-            logz = 0.0
-        values[i] = logz / n
-    return _aggregate(values, zeros, alpha, n, model)
+    draw = {
+        NULL: lambda sub: sample_null(n, m, sub),
+        PLANTED: lambda sub: sample_planted(n, m, sub),
+        PLANTED_BDC: lambda sub: sample_channel(n, 1.0 - alpha, sub),
+    }.get(model)
+    if draw is None:
+        raise ValueError(f"unknown disorder model {model!r}")
+
+    def environment(sub):
+        d = draw(sub)
+        return RankOneIndicator(d.x, d.y)
+
+    return _sample_mean(environment, alpha, n, samples, seed, model)
 
 
 def estimate_polymer(
@@ -111,23 +118,12 @@ def estimate_polymer(
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     m = embedded_length(alpha, n)
-    values = np.empty(samples)
-    zeros = 0
-    for i in range(samples):
-        sub = seed.substream(i)
-        if env_kind == BERNOULLI_MATCHING:
-            env = IidBernoulliHalf(n, m, sub)
-        elif env_kind == STRICT_WEAK:
-            env = IidGamma(n, m, shape, scale, sub)
-        else:
-            raise ValueError(f"unknown environment kind {env_kind!r}")
-        logz = log_count_embeddings(env)
-        if logz == float("-inf"):
-            zeros += 1
-            logz = 0.0
-        values[i] = logz / n
-    model = env_kind if env_kind == BERNOULLI_MATCHING else f"{env_kind}({shape},{scale})"
-    return _aggregate(values, zeros, alpha, n, model)
+    if env_kind == BERNOULLI_MATCHING:
+        return _sample_mean(lambda sub: IidBernoulliHalf(n, m, sub), alpha, n, samples, seed, env_kind)
+    if env_kind == STRICT_WEAK:
+        return _sample_mean(lambda sub: IidGamma(n, m, shape, scale, sub),
+                            alpha, n, samples, seed, f"{env_kind}({shape},{scale})")
+    raise ValueError(f"unknown environment kind {env_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -146,6 +142,27 @@ class CurveSpec:
         if any(not 0 <= v < 1 for v in g) or any(b <= a for a, b in zip(g, g[1:])):
             raise ValueError("grid must be strictly increasing with values in [0, 1)")
         object.__setattr__(self, "grid", g)
+
+
+def curve(point, spec: CurveSpec) -> list:
+    """Map point(v, n, samples, seed) over spec.grid, in grid order.
+
+    Grid point g draws from spec.seed.substream(g * spec.samples), so its
+    samples use disjoint substreams and the rows do not depend on the worker
+    count.  RSM_THREADS > 1 fans the points out to that many worker
+    processes; point must then be a picklable top-level function.
+    """
+    raw = os.environ.get("RSM_THREADS", "1")
+    try:
+        workers = max(1, int(raw))
+    except ValueError:
+        raise ValueError(f"RSM_THREADS must be an integer, got {raw!r}")
+    work = [(v, spec.n, spec.samples, spec.seed.substream(g * spec.samples)) for g, v in enumerate(spec.grid)]
+    if workers == 1 or len(work) <= 1:
+        return [point(*args) for args in work]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(point, *args) for args in work]
+        return [f.result() for f in futures]
 
 
 @dataclass(frozen=True)
@@ -173,14 +190,6 @@ def mutual_info_point(p: float, n: int, samples: int, seed: Seed) -> MutualInfoR
     )
 
 
-def mutual_info_curve(spec: CurveSpec) -> list:
-    """The three capacity curves over a p grid (simulation plus both bounds)."""
-    rows = []
-    for g, p in enumerate(spec.grid):
-        rows.append(mutual_info_point(p, spec.n, spec.samples, spec.seed.substream(g * spec.samples)))
-    return rows
-
-
 @dataclass(frozen=True)
 class PolymerComparisonRow:
     alpha: float
@@ -190,26 +199,28 @@ class PolymerComparisonRow:
     null_zero_fraction: float
 
 
-def polymer_comparison_curve(spec: CurveSpec, shape: float = 1.0, scale: float = 0.5) -> list:
+def polymer_point(alpha: float, n: int, samples: int, seed: Seed) -> PolymerComparisonRow:
+    """One grid point of the polymer comparison: the simulated null model beside
+    the exactly solvable Gamma(1, 1/2) polymer, whose weights match the mean and
+    variance of the fair-coin indicator environment."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        est = estimate_quenched(NULL, alpha, n, samples, seed)
+    return PolymerComparisonRow(
+        alpha=alpha,
+        strict_weak_exact=strict_weak_value(1.0, 0.5, alpha),
+        null_mc=est.mean,
+        null_mc_stderr=est.stderr,
+        null_zero_fraction=est.zero_fraction,
+    )
+
+
+def polymer_comparison_curve(spec: CurveSpec) -> list:
     """Exactly solvable Gamma-polymer value vs the simulated null model over an
     alpha grid in (0, 1/2]."""
     if any(not 0 < a <= 0.5 for a in spec.grid):
         raise ValueError("alpha grid must lie in (0, 1/2]")
-    rows = []
-    for g, alpha in enumerate(spec.grid):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            est = estimate_quenched(NULL, alpha, spec.n, spec.samples, spec.seed.substream(g * spec.samples))
-        rows.append(
-            PolymerComparisonRow(
-                alpha=alpha,
-                strict_weak_exact=strict_weak_value(shape, scale, alpha),
-                null_mc=est.mean,
-                null_mc_stderr=est.stderr,
-                null_zero_fraction=est.zero_fraction,
-            )
-        )
-    return rows
+    return curve(polymer_point, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +245,6 @@ class GapReport:
     null_annealed_value: Optional[float] = None
 
 
-def _all_bitstrings(n: int):
-    for word in range(1 << n):
-        yield BitString(np.fromiter(((word >> k) & 1 for k in range(n)), dtype=np.uint8, count=n))
-
-
 def null_planted_gap_experiment(
     alpha: float, n: int, samples: int, seed: Seed, exhaustive: Optional[bool] = None
 ) -> GapReport:
@@ -261,7 +267,7 @@ def null_planted_gap_experiment(
         )
     if n > 12:
         raise ValueError("exhaustive mode requires n <= 12")
-    strings = list(_all_bitstrings(n))
+    strings = list(all_bitstrings(n))
     # Planted side: average log Z over all (x, sigma*).
     planted_total = 0.0
     subsets = list(itertools.combinations(range(n), m))
@@ -273,7 +279,7 @@ def null_planted_gap_experiment(
     # Null side: (2^m / C(n, m)) * average of Z log Z over all (x, y).
     null_total = 0.0
     for x in strings:
-        for y in _all_bitstrings(m):
+        for y in all_bitstrings(m):
             z = count_embeddings_exact(x, y)
             if z > 0:
                 null_total += z * math.log(z)

@@ -3,7 +3,8 @@
 Every check recomputes an expected value by an independent route (brute-force
 enumeration, series summation, finite differences, exact rationals) and
 compares against the fast path.  `fast` finishes in seconds; `full` adds the
-Monte Carlo band checks and takes minutes.
+Monte Carlo band checks and takes minutes.  The brute-force oracles are
+defined here once; the tests import them and apply their own tolerances.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import alignment, annealed, capacity, montecarlo
-from .core import BitString, Seed
+from .core import BitString, Seed, all_bitstrings
 from .partition import (
     RankOneIndicator,
     count_common_subsequences,
@@ -27,6 +28,54 @@ from .partition import (
     skip_vector_of,
 )
 from .special import EULER_GAMMA, digamma
+
+
+def brute_embeddings(x: BitString, y: BitString):
+    """Yield every embedding of y into x, as an increasing tuple of positions,
+    by testing all |y|-subsets of positions."""
+    for comb in itertools.combinations(range(len(x)), len(y)):
+        if all(x[i] == y[j] for j, i in enumerate(comb)):
+            yield comb
+
+
+def brute_count(x: BitString, y: BitString) -> int:
+    """Z(x, y) by enumeration."""
+    return sum(1 for _ in brute_embeddings(x, y))
+
+
+def brute_common_subsequences(x1: BitString, x2: BitString, m: int) -> int:
+    """Pairs of length-m position subsets of x1 and x2 that read the same string."""
+    total = 0
+    for c1 in itertools.combinations(range(len(x1)), m):
+        s1 = tuple(x1[i] for i in c1)
+        for c2 in itertools.combinations(range(len(x2)), m):
+            total += s1 == tuple(x2[i] for i in c2)
+    return total
+
+
+def brute_planted_mean(n: int, m: int) -> Fraction:
+    """E[Z] under the planted law, averaged exactly over every x and sigma*."""
+    total = Fraction(0)
+    subsets = list(itertools.combinations(range(n), m))
+    for x in all_bitstrings(n):
+        for sigma in subsets:
+            total += count_embeddings_exact(x, x.take(np.array(sigma, dtype=np.int64)))
+    return total / (len(subsets) * (1 << n))
+
+
+def brute_total_alignment(x: BitString, y: BitString, params, standardized: bool) -> float:
+    """Supremum of the average local alignment over every member of the
+    standardized (or induced) family, found by listing all block-length tuples."""
+    b, m = params.b, len(y)
+    member = alignment.is_standardized_member if standardized else alignment.is_induced_member
+    best = float("-inf")
+    for lens in itertools.product(range(b + 1), repeat=params.big_b):
+        if sum(lens) != m:
+            continue
+        part = alignment.Partition(lens)
+        if member(part, m, params):
+            best = max(best, alignment.average_local_alignment(x, y, part, params))
+    return best
 
 
 @dataclass(frozen=True)
@@ -40,15 +89,6 @@ def _result(name, passed, detail=""):
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def _brute_count(x: BitString, y: BitString) -> int:
-    n, m = len(x), len(y)
-    return sum(
-        1
-        for comb in itertools.combinations(range(n), m)
-        if all(x[i] == y[j] for j, i in enumerate(comb))
-    )
-
-
 def check_exact_dp_vs_bruteforce(pairs: int = 120, seed: int = 1001) -> CheckResult:
     rng = np.random.default_rng(seed)
     for _ in range(pairs):
@@ -56,7 +96,7 @@ def check_exact_dp_vs_bruteforce(pairs: int = 120, seed: int = 1001) -> CheckRes
         m = int(rng.integers(0, n + 1)) if n else 0
         x = BitString(rng.integers(0, 2, n, dtype=np.uint8))
         y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
-        if count_embeddings_exact(x, y) != _brute_count(x, y):
+        if count_embeddings_exact(x, y) != brute_count(x, y):
             return _result("partition/exact-vs-bruteforce", False, f"mismatch at {x!r}, {y!r}")
     return _result("partition/exact-vs-bruteforce", True, f"{pairs} random pairs, n <= 10")
 
@@ -102,12 +142,11 @@ def check_skip_vector_injectivity(seed: int = 1004) -> CheckResult:
         x = BitString(rng.integers(0, 2, n, dtype=np.uint8))
         y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
         seen = {}
-        for comb in itertools.combinations(range(n), m):
-            if all(x[i] == y[j] for j, i in enumerate(comb)):
-                v = skip_vector_of(x, y, list(comb)).skips
-                if v in seen:
-                    return _result("partition/skip-vector-injectivity", False, f"collision {v}")
-                seen[v] = comb
+        for comb in brute_embeddings(x, y):
+            v = skip_vector_of(x, y, list(comb)).skips
+            if v in seen:
+                return _result("partition/skip-vector-injectivity", False, f"collision {v}")
+            seen[v] = comb
     return _result("partition/skip-vector-injectivity", True, "exhaustive, n <= 8")
 
 
@@ -119,13 +158,7 @@ def check_common_subsequence_oracle(seed: int = 1005) -> CheckResult:
         x1 = BitString(rng.integers(0, 2, n1, dtype=np.uint8))
         x2 = BitString(rng.integers(0, 2, n2, dtype=np.uint8))
         for m in range(min(n1, n2) + 1):
-            brute = 0
-            for c1 in itertools.combinations(range(n1), m):
-                s1 = tuple(x1[i] for i in c1)
-                for c2 in itertools.combinations(range(n2), m):
-                    if s1 == tuple(x2[i] for i in c2):
-                        brute += 1
-            if count_common_subsequences(x1, x2, m) != brute:
+            if count_common_subsequences(x1, x2, m) != brute_common_subsequences(x1, x2, m):
                 return _result("partition/common-subsequence-oracle", False, f"{x1!r},{x2!r},m={m}")
     return _result("partition/common-subsequence-oracle", True, "exhaustive pairs, n <= 7")
 
@@ -199,14 +232,7 @@ def check_gap_product_formula() -> CheckResult:
 def check_planted_mean_enumeration() -> CheckResult:
     for n in range(1, 7):
         for m in range(1, n + 1):
-            total = Fraction(0)
-            subsets = list(itertools.combinations(range(n), m))
-            for word in range(1 << n):
-                x = BitString(np.fromiter(((word >> k) & 1 for k in range(n)), dtype=np.uint8, count=n))
-                for sigma in subsets:
-                    total += count_embeddings_exact(x, x.take(np.array(sigma, dtype=np.int64)))
-            expected = total / (len(subsets) * (1 << n))
-            if expected != annealed.planted_mean_partition(n, m):
+            if brute_planted_mean(n, m) != annealed.planted_mean_partition(n, m):
                 return _result("annealed/planted-mean-enumeration", False, f"(n,m)=({n},{m})")
     return _result("annealed/planted-mean-enumeration", True, "exact rationals, n <= 6")
 
@@ -249,14 +275,7 @@ def check_alignment_small_oracle(seed: int = 1006) -> CheckResult:
                 y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
                 for std in (False, True):
                     fn = alignment.total_alignment_std if std else alignment.total_alignment_ind
-                    member = alignment.is_standardized_member if std else alignment.is_induced_member
-                    best = float("-inf")
-                    for lens in itertools.product(range(b + 1), repeat=B):
-                        if sum(lens) != m:
-                            continue
-                        part = alignment.Partition(lens)
-                        if member(part, m, params):
-                            best = max(best, alignment.average_local_alignment(x, y, part, params))
+                    best = brute_total_alignment(x, y, params, std)
                     if abs(fn(x, y, params) - best) > 1e-12 and not (best == fn(x, y, params)):
                         return _result("alignment/dp-vs-exhaustive", False, f"B={B} b={b} eps={eps}")
     return _result("alignment/dp-vs-exhaustive", True, "B <= 4, b <= 4, both budgets")

@@ -25,20 +25,15 @@ desk-scale model cannot reach:
     0.030, 8.9 standard errors), and prints the null good frequency.
 """
 
-import itertools
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 
 from subseqlab.alignment import (
     AlignmentParams,
-    Partition,
     alignment_experiment,
     alignment_trials,
-    average_local_alignment,
-    is_induced_member,
     is_standardized_member,
     sample_induced_partition,
     standardize,
@@ -67,14 +62,16 @@ from subseqlab.montecarlo import (
     NULL,
     STRICT_WEAK,
     CurveSpec,
+    curve,
     estimate_polymer,
     estimate_quenched,
-    mutual_info_curve,
+    mutual_info_point,
     null_planted_gap_experiment,
 )
 from subseqlab.partition import count_embeddings_exact, greedy_embed
 from subseqlab.annealed import strict_weak_value
 from subseqlab.special import binary_entropy
+from subseqlab.verify import brute_count, brute_planted_mean, brute_total_alignment
 
 LN2 = math.log(2.0)
 
@@ -95,12 +92,7 @@ def test_criterion_01_dp_correctness():
         m = int(rng.integers(0, n + 1)) if n else 0
         x = BitString(rng.integers(0, 2, n, dtype=np.uint8))
         y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
-        brute = sum(
-            1
-            for comb in itertools.combinations(range(n), m)
-            if all(x[i] == y[j] for j, i in enumerate(comb))
-        )
-        assert count_embeddings_exact(x, y) == brute
+        assert count_embeddings_exact(x, y) == brute_count(x, y)
     elapsed = time.time() - start
     report(1, "exact DP vs exhaustive enumeration", elapsed < 10, f"500 pairs in {elapsed:.2f}s")
 
@@ -112,15 +104,7 @@ def test_criterion_02_gap_product_formula():
     worst = 0.0
     for n in range(1, 7):
         for m in range(1, n + 1):
-            total = Fraction(0)
-            subsets = list(itertools.combinations(range(n), m))
-            for word in range(1 << n):
-                x = BitString(
-                    np.fromiter(((word >> k) & 1 for k in range(n)), dtype=np.uint8, count=n)
-                )
-                for sigma in subsets:
-                    total += count_embeddings_exact(x, x.take(np.array(sigma, dtype=np.int64)))
-            enumerated = total / (len(subsets) * (1 << n))
+            enumerated = brute_planted_mean(n, m)
             worst = max(worst, abs(float(enumerated - planted_mean_partition(n, m))))
     report(2, "pair-sum formula vs direct and full enumeration", worst < 1e-12, f"worst {worst:.1e}")
 
@@ -194,7 +178,7 @@ def test_criterion_07_figure1_reproduction():
     n = 10_000
     grid = tuple(0.05 * k for k in range(20))
     spec = CurveSpec(grid=grid, n=n, samples=8, seed=Seed(707))
-    rows = mutual_info_curve(spec)
+    rows = curve(mutual_info_point, spec)
     violations = []
     r0 = rows[0]
     if not (abs(r0.mc_capacity - LN2) < 1e-15 and abs(r0.lower_dgv - LN2) < 1e-15
@@ -275,16 +259,7 @@ def test_criterion_11_alignment_oracles():
                         m = int(rng.integers(0, B * b + 1))
                         y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
                         for std in (False, True):
-                            member = is_standardized_member if std else is_induced_member
-                            best = float("-inf")
-                            for lens in itertools.product(range(b + 1), repeat=B):
-                                if sum(lens) != m:
-                                    continue
-                                part = Partition(lens)
-                                if member(part, m, params):
-                                    best = max(
-                                        best, average_local_alignment(x, y, part, params)
-                                    )
+                            best = brute_total_alignment(x, y, params, std)
                             dp = (total_alignment_std if std else total_alignment_ind)(x, y, params)
                             assert dp == best or abs(dp - best) < 1e-12
                             cases += 1

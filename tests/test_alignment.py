@@ -1,10 +1,10 @@
-import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from subseqlab import alignment
 from subseqlab.core import BitString, Seed, sample_uniform_string
 from subseqlab.alignment import (
     AlignmentParams,
@@ -20,6 +20,7 @@ from subseqlab.alignment import (
     total_alignment_ind,
     total_alignment_std,
 )
+from subseqlab.verify import brute_total_alignment
 
 NEG_INF = float("-inf")
 
@@ -28,20 +29,6 @@ def quiet_params(**kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return AlignmentParams(**kw)
-
-
-def brute_total_alignment(x, y, params, standardized):
-    B, b = params.big_b, params.b
-    m = len(y)
-    member = is_standardized_member if standardized else is_induced_member
-    best = NEG_INF
-    for lens in itertools.product(range(b + 1), repeat=B):
-        if sum(lens) != m:
-            continue
-        part = Partition(lens)
-        if member(part, m, params):
-            best = max(best, average_local_alignment(x, y, part, params))
-    return best
 
 
 def test_displacement():
@@ -281,6 +268,12 @@ def test_is_good_requires_matching_length():
     # |y| = floor(alpha |x|) is taken exactly: (1 - 0.9) * 100 floors to 10,
     # so this call passes the dimension check.
     is_good(BitString.ones(100), BitString.ones(10), quiet_params(alpha=1 - 0.9, b=10, n=100))
+
+
+def test_trials_raise_when_no_draw_is_typical(monkeypatch):
+    monkeypatch.setattr(alignment, "is_typical", lambda x, b: False)
+    with pytest.raises(ValueError, match="b = 16 in 64 draws"):
+        alignment.alignment_experiment(0.5, 16, 320, 1, Seed(2))
 
 
 def test_planted_alignment_dominates_null_on_average():

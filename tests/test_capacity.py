@@ -6,7 +6,6 @@ from subseqlab.annealed import LN2
 from subseqlab.capacity import (
     beta_alpha,
     beta_star,
-    capacity_bounds,
     dgv_lower_bound,
     log10_explicit_lower_bound,
     log_explicit_lower_bound,
@@ -96,32 +95,3 @@ def test_all_finite_across_extreme_alphas():
             assert math.isfinite(upper_bound_uniform_capacity(p))
         assert math.isfinite(log_kappa(a))
         assert math.isfinite(beta_alpha(a))
-
-
-def test_capacity_bounds_bundle():
-    row = capacity_bounds(0.5)
-    assert row.alpha == 0.5
-    assert row.lower_dgv == 0.0
-    assert row.log10_explicit_lower < -1000
-    assert row.mc_estimate is None
-    zero = capacity_bounds(0.0)
-    assert zero.log10_explicit_lower is None
-    assert zero.lower_dgv == zero.upper_annealed == math.log(2.0)
-
-
-def test_explicit_bound_constants_bundle():
-    from subseqlab.capacity import explicit_bound_constants
-
-    c = explicit_bound_constants(0.5)
-    assert 0 < c.beta < 0.5
-    assert c.beta_star == c.beta / 40.0
-    assert c.log_kappa > 96 * math.log(1920)
-
-
-def test_variational_point_bundle():
-    from subseqlab.annealed import variational_point, rho_star
-
-    a = 0.4
-    vp = variational_point(a, rho_star(a))
-    assert abs(vp.z_value - 1.0) < 1e-10
-    assert abs(vp.objective - a * vp.rho * vp.phi) < 1e-15

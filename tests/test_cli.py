@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -124,13 +125,50 @@ def test_figure1_bits_flag_divides_by_ln2(tmp_path):
     assert abs(float(rb0[2]) - 1.0) < 1e-12
 
 
-def test_worker_count_does_not_change_output(tmp_path):
-    args = ["figure1", "--grid", "0.2,0.5,0.8", "--n", "300", "--samples", "3", "--seed", "11"]
+# Small-size tables pinned byte for byte: a change that claims no behaviour
+# change must reproduce them.
+GOLDEN = {
+    "figure1": (
+        ["figure1", "--grid", "0.2,0.5,0.8", "--n", "300", "--samples", "3", "--seed", "11"],
+        "p,dgv_lower,mc_capacity,mc_stderr,upper_annealed,zero_fraction\n"
+        "0.2,0.192744757022,0.222417232629,0.00306603365449,0.253831760311,0\n"
+        "0.5,0,0.0245228848581,0.00673050762063,0.0486937675318,0\n"
+        "0.8,0,-0.0072282410638,0.00126484551773,0.0024252030927,0\n",
+    ),
+    "figure2": (
+        ["figure2", "--alphas", "0.25,0.5", "--n", "400", "--samples", "3", "--seed", "9"],
+        "alpha,strict_weak_exact,null_mc,null_mc_stderr,null_zero_fraction\n"
+        "0.25,0.388193716791,0.378528798553,0.00129188012375,0\n"
+        "0.5,0.337006913941,0.188138548795,0.0940740179172,0.333333333333\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_worker_count_does_not_change_output(tmp_path, command):
+    args, golden = GOLDEN[command]
     p1 = tmp_path / "t1.csv"
     p2 = tmp_path / "t2.csv"
     assert run_cli(args + ["--out", str(p1)], env_extra={"RSM_THREADS": "1"}).returncode == 0
     assert run_cli(args + ["--out", str(p2)], env_extra={"RSM_THREADS": "3"}).returncode == 0
-    assert p1.read_bytes() == p2.read_bytes()
+    assert p1.read_bytes() == p2.read_bytes() == golden.encode()
+
+
+def test_figure2_fans_out_to_rsm_threads_workers(tmp_path, monkeypatch):
+    built = []
+
+    def recording_pool(max_workers):
+        # One thread runs the points in turn, so they stay in this process.
+        built.append(max_workers)
+        return concurrent.futures.ThreadPoolExecutor(max_workers=1)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setenv("RSM_THREADS", "2")
+    args, golden = GOLDEN["figure2"]
+    out = tmp_path / "f2.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    assert built == [2]
+    assert out.read_text() == golden
 
 
 def test_alignment_experiment_small(tmp_path):

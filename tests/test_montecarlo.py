@@ -12,9 +12,10 @@ from subseqlab.montecarlo import (
     PLANTED,
     PLANTED_BDC,
     STRICT_WEAK,
+    curve,
     estimate_polymer,
     estimate_quenched,
-    mutual_info_curve,
+    mutual_info_point,
     null_planted_gap_experiment,
     polymer_comparison_curve,
 )
@@ -94,7 +95,7 @@ def test_curve_spec_validation():
 
 def test_mutual_info_curve_p_zero_row():
     spec = CurveSpec(grid=(0.0, 0.4), n=300, samples=3, seed=Seed(11))
-    rows = mutual_info_curve(spec)
+    rows = curve(mutual_info_point, spec)
     assert rows[0].p == 0.0
     assert rows[0].mc_capacity == math.log(2.0)
     assert rows[0].lower_dgv == math.log(2.0)
@@ -106,7 +107,7 @@ def test_mutual_info_curve_p_zero_row():
 
 def test_mutual_info_curve_deterministic():
     spec = CurveSpec(grid=(0.2, 0.6), n=200, samples=4, seed=Seed(12))
-    assert mutual_info_curve(spec) == mutual_info_curve(spec)
+    assert curve(mutual_info_point, spec) == curve(mutual_info_point, spec)
 
 
 def test_polymer_comparison_rows():

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -22,17 +21,9 @@ from subseqlab.partition import (
     log_count_embeddings,
     skip_vector_of,
 )
+from subseqlab.verify import brute_common_subsequences, brute_count, brute_embeddings
 
 NEG_INF = float("-inf")
-
-
-def brute_count(x, y):
-    n, m = len(x), len(y)
-    return sum(
-        1
-        for comb in itertools.combinations(range(n), m)
-        if all(x[i] == y[j] for j, i in enumerate(comb))
-    )
 
 
 bits = st.lists(st.integers(0, 1), max_size=12)
@@ -154,13 +145,12 @@ def test_skip_vector_injective_and_invertible_exhaustive():
         x = BitString(rng.integers(0, 2, n, dtype=np.uint8))
         y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
         seen = set()
-        for comb in itertools.combinations(range(n), m):
-            if all(x[i] == y[j] for j, i in enumerate(comb)):
-                v = skip_vector_of(x, y, list(comb))
-                assert v.skips not in seen
-                seen.add(v.skips)
-                back = embedding_from_skips(x, y, v)
-                assert list(back) == list(comb)
+        for comb in brute_embeddings(x, y):
+            v = skip_vector_of(x, y, list(comb))
+            assert v.skips not in seen
+            seen.add(v.skips)
+            back = embedding_from_skips(x, y, v)
+            assert list(back) == list(comb)
 
 
 def test_skip_vector_unrealizable():
@@ -176,9 +166,8 @@ def test_skip_vector_total_bound():
         m = int(rng.integers(0, n + 1))
         x = BitString(rng.integers(0, 2, n, dtype=np.uint8))
         y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
-        for comb in itertools.combinations(range(n), m):
-            if all(x[i] == y[j] for j, i in enumerate(comb)):
-                assert skip_vector_of(x, y, list(comb)).total <= n - m
+        for comb in brute_embeddings(x, y):
+            assert skip_vector_of(x, y, list(comb)).total <= n - m
 
 
 def test_common_subsequences_trivial():
@@ -207,13 +196,7 @@ def test_common_subsequences_vs_bruteforce_pairs():
         x1 = BitString(rng.integers(0, 2, n1, dtype=np.uint8))
         x2 = BitString(rng.integers(0, 2, n2, dtype=np.uint8))
         for m in range(min(n1, n2) + 1):
-            brute = 0
-            for c1 in itertools.combinations(range(n1), m):
-                s1 = tuple(x1[i] for i in c1)
-                for c2 in itertools.combinations(range(n2), m):
-                    if s1 == tuple(x2[i] for i in c2):
-                        brute += 1
-            assert count_common_subsequences(x1, x2, m) == brute
+            assert count_common_subsequences(x1, x2, m) == brute_common_subsequences(x1, x2, m)
 
 
 def test_lcs_examples_and_characterization():
