@@ -206,24 +206,33 @@ def _total_alignment(x: BitString, y: BitString, params: AlignmentParams, standa
     targets = params.std_targets() if standardized else None
     lo_w, hi_w = params.window_ints()
 
+    # f[c, p]: best gain with p symbols of y consumed in c conforming blocks
+    # (capped at required).  After i blocks only p in [m - (B-i)*b, i*b] can
+    # reach f[required, m], so block i reads that window and writes the one
+    # for i+1; the cells it skips stay -inf and are never read.
     f = np.full((required + 1, m + 1), NEG_INF)
     f[0, 0] = 0.0
     for i in range(big_b):
         s = signs[i]
         new = np.full_like(f, NEG_INF)
+        src_lo, src_hi = max(0, m - (big_b - i) * b), min(m, i * b)
+        dst_lo, dst_hi = max(0, m - (big_b - i - 1) * b), min(m, (i + 1) * b)
         for length in range(0, min(b, m) + 1):
-            width = m + 1 - length
-            gain = np.clip(delta * s * (prefix[length:] - prefix[:width]), 0.0, 1.0)
+            lo, hi = max(src_lo, dst_lo - length), min(src_hi, dst_hi - length) + 1
+            if lo >= hi:
+                continue
+            gain = np.clip(delta * s * (prefix[lo + length:hi + length] - prefix[lo:hi]), 0.0, 1.0)
             if standardized:
                 conforming = length == targets[i]
             else:
                 conforming = lo_w <= length <= hi_w
-            cand = f[:, :width] + gain
+            cand = f[:, lo:hi] + gain
+            out = new[:, lo + length:hi + length]
             if conforming and required > 0:
-                np.maximum(new[1:, length:], cand[:-1], out=new[1:, length:])
-                np.maximum(new[required, length:], cand[required], out=new[required, length:])
+                np.maximum(out[1:], cand[:-1], out=out[1:])
+                np.maximum(out[required], cand[required], out=out[required])
             else:
-                np.maximum(new[:, length:], cand, out=new[:, length:])
+                np.maximum(out, cand, out=out)
         f = new
     best = f[required, m]
     if best == NEG_INF:

@@ -154,9 +154,11 @@ def curve(point, spec: CurveSpec) -> list:
     """
     raw = os.environ.get("RSM_THREADS", "1")
     try:
-        workers = max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        raise ValueError(f"RSM_THREADS must be an integer, got {raw!r}")
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"RSM_THREADS must be a positive integer, got {raw!r}")
     work = [(v, spec.n, spec.samples, spec.seed.substream(g * spec.samples)) for g, v in enumerate(spec.grid)]
     if workers == 1 or len(work) <= 1:
         return [point(*args) for args in work]

@@ -8,9 +8,17 @@ The count of strictly increasing embeddings sigma with x[sigma] = y obeys
 
 and the weighted generalization replaces the indicator by an arbitrary
 non-negative weight B[n, m].  Both DPs stream one row at a time, so memory is
-O(M) regardless of N.  Zero partition functions are represented by -inf in the
-log domain; numpy's logaddexp satisfies logaddexp(-inf, a) = a exactly, which
-is the identity the recurrence needs.
+O(M) regardless of N, plus O(N) integer slice bounds in the rank-one kernel.
+Zero partition functions are represented by -inf in the log domain; numpy's
+logaddexp satisfies logaddexp(-inf, a) = a exactly, which is the identity the
+recurrence needs.
+
+Only the diagonal band m <= n, M - m <= N - n can reach Z[N, M] (Ukkonen,
+Inf. Control 1985): above it Z is 0, and below it too few symbols of x are
+left to embed the rest of y.  A band cell reads only band cells of the row
+above, so skipping the rest leaves every value in the band, and log Z, bit for
+bit the same.  The rank-one kernel keeps to the whole band; LogDPTable, which
+does not know N, skips only the cells above it.
 """
 
 from __future__ import annotations
@@ -143,8 +151,13 @@ class LogDPTable:
         self.row_index = 0
 
     def advance(self, log_weights: np.ndarray) -> None:
-        # RHS is evaluated before assignment, so row[:-1] is the previous row.
-        self.row[1:] = np.logaddexp(self.row[1:], log_weights + self.row[:-1])
+        # After row_index rows, entries past row_index are still -inf, so this
+        # row can change entries 1..row_index+1 only.  The RHS is evaluated
+        # before assignment, so row[:k] is the previous row.
+        if len(log_weights) != len(self.row) - 1:
+            raise ValueError(f"weight row has {len(log_weights)} entries, expected {len(self.row) - 1}")
+        k = min(self.row_index + 1, len(self.row) - 1)
+        self.row[1:k + 1] = np.logaddexp(self.row[1:k + 1], log_weights[:k] + self.row[:k])
         self.row_index += 1
 
     @property
@@ -154,25 +167,33 @@ class LogDPTable:
 
 def _log_count_rank_one(x: BitString, y: BitString) -> float:
     # Same recurrence as LogDPTable.advance, but the indicator weights make the
-    # update a gather/scatter on the positions of each bit value in y, and
-    # entries beyond the current row index are unreachable.  O(M) memory.
-    m = len(y)
+    # update a gather/scatter on the positions of each bit value in y.  Row n
+    # (reading x_n) writes Z[n+1, idx+1] from Z[n, idx] for the positions idx
+    # of x_n in y, and only the band max(0, M-N+n) <= idx <= min(n, M-1) can
+    # reach Z[N, M].  Those cells read only cells of the band above, so the
+    # stale entries left below it are never read.  O(N + M) memory.
+    n, m = len(x), len(y)
     row = np.full(m + 1, NEG_INF)
     row[0] = 0.0
     ybits = y.bits
-    idx_for = (np.flatnonzero(ybits == 0), np.flatnonzero(ybits == 1))
-    for n, bit in enumerate(x.bits):
-        idx = idx_for[bit]
-        if idx.size == 0 or idx[0] > n:
-            continue
-        if idx[-1] > n:
-            idx = idx[: np.searchsorted(idx, n + 1)]
-        row[idx + 1] = np.logaddexp(row[idx + 1], row[idx])
+    src_for = (np.flatnonzero(ybits == 0), np.flatnonzero(ybits == 1))
+    dst_for = (src_for[0] + 1, src_for[1] + 1)
+    # Per-row slice bounds into the positions of x_n's bit value in y.
+    rows = np.arange(n)
+    lo_for = [np.searchsorted(p, rows + (m - n)) for p in src_for]
+    hi_for = [np.searchsorted(p, rows, side="right") for p in src_for]
+    ones = x.bits == 1
+    starts = np.where(ones, lo_for[1], lo_for[0])
+    stops = np.where(ones, hi_for[1], hi_for[0])
+    for bit, lo, hi in zip(x.bits, starts, stops):
+        if lo < hi:
+            src, dst = src_for[bit][lo:hi], dst_for[bit][lo:hi]
+            row[dst] = np.logaddexp(row[dst], row[src])
     return float(row[m])
 
 
 def log_count_embeddings(env: Environment) -> float:
-    """log Z for a weight environment, streamed in O(M) memory; -inf iff Z = 0."""
+    """log Z for a weight environment, streamed row by row; -inf iff Z = 0."""
     if isinstance(env, RankOneIndicator):
         return _log_count_rank_one(env.x, env.y)
     n, m = env.dims

@@ -18,8 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import alignment, annealed, capacity, montecarlo
-from .core import BitString, Seed, all_bitstrings
+from .core import BitString, Seed, all_bitstrings, embedded_length, sample_planted
 from .partition import (
+    LogDPTable,
     RankOneIndicator,
     count_common_subsequences,
     count_embeddings_exact,
@@ -118,6 +119,40 @@ def check_logdp_vs_exact(pairs: int = 60, seed: int = 1002) -> CheckResult:
         rel = abs(math.exp(logz) - exact) / exact
         worst = max(worst, rel)
     return _result("partition/logdp-vs-exact", worst < 1e-10, f"worst rel err {worst:.2e}")
+
+
+def check_rank_one_vs_generic(pairs: int = 200, seed: int = 1008) -> CheckResult:
+    """The banded rank-one kernel against the generic LogDPTable route fed the
+    same indicator rows.  Both run the same logaddexps on the cells that reach
+    Z[N, M], so they must agree exactly, band edges and Z = 0 included."""
+    name = "partition/rank-one-vs-generic"
+    rng = np.random.default_rng(seed)
+
+    def rand(k):
+        return BitString(rng.integers(0, 2, k, dtype=np.uint8))
+
+    cases = []
+    for n in (1, 2, 13, 400):
+        for m in sorted({0, 1, n - 1, n}):
+            for x in (BitString.zeros(n), BitString.ones(n), rand(n)):
+                cases += [(x, y) for y in (BitString.zeros(m), BitString.ones(m), rand(m))]
+    for _ in range(pairs):
+        n = int(rng.integers(0, 401))
+        cases.append((rand(n), rand(int(rng.integers(0, n + 1)))))
+    for alpha in (0.5, 0.9, 1.0):
+        d = sample_planted(2000, embedded_length(alpha, 2000), Seed(seed))
+        cases.append((d.x, d.y))
+    zeros = 0
+    for x, y in cases:
+        env = RankOneIndicator(x, y)
+        table = LogDPTable(len(y))
+        for row in env.log_weight_rows():
+            table.advance(row)
+        fast = log_count_embeddings(env)
+        if fast != table.value:
+            return _result(name, False, f"{fast!r} != {table.value!r} at |x|={len(x)}, |y|={len(y)}")
+        zeros += fast == float("-inf")
+    return _result(name, zeros > 0, f"{len(cases)} pairs equal, {zeros} with Z = 0, |x| <= 2000")
 
 
 def check_greedy_equivalence(pairs: int = 2000, seed: int = 1003) -> CheckResult:
@@ -352,6 +387,7 @@ def check_mc_bernoulli_matching() -> CheckResult:
 FAST_CHECKS = (
     check_exact_dp_vs_bruteforce,
     check_logdp_vs_exact,
+    check_rank_one_vs_generic,
     check_greedy_equivalence,
     check_skip_vector_injectivity,
     check_common_subsequence_oracle,

@@ -95,6 +95,25 @@ def test_dp_matches_bruteforce_exhaustive():
     assert checked == 384
 
 
+# Induced scores of the first two trials at b = 16, B = 20, where the band of
+# reachable prefixes cuts cells from most blocks; the standardized scores are
+# equal at these settings.  The values come from the unbanded DP, which fills
+# every cell.
+PINNED_SCORES = {
+    1 / 24: (0.6788309413044133, 0.7525539608696089, 0.8104616340580074, 0.7744924096618746),
+    0.4: (0.93789291416276, 0.9515716566510399, 0.97578582832552, 0.97578582832552),
+}
+
+
+@pytest.mark.parametrize("eps", sorted(PINNED_SCORES))
+def test_dp_scores_pinned_at_twenty_blocks(eps):
+    params = quiet_params(alpha=0.5, b=16, n=320, epsilon=eps)
+    pairs = list(alignment.alignment_trials(0.5, 16, 320, 2, Seed(3)))
+    assert [law for law, _, _ in pairs] == ["planted", "null"] * 2
+    assert tuple(total_alignment_ind(x, y, params) for _, x, y in pairs) == PINNED_SCORES[eps]
+    assert tuple(total_alignment_std(x, y, params) for _, x, y in pairs) == PINNED_SCORES[eps]
+
+
 def test_single_block_case():
     params = quiet_params(alpha=0.5, b=4, n=4)
     x = BitString.from_text("1110")

@@ -56,20 +56,6 @@ def test_unknown_subcommand_exits_2():
     assert out.returncode == 2
 
 
-def test_figure2_csv_schema_and_determinism(tmp_path):
-    args = ["figure2", "--alphas", "0.25,0.5", "--n", "400", "--samples", "3", "--seed", "9"]
-    p1 = tmp_path / "a.csv"
-    p2 = tmp_path / "b.csv"
-    assert run_cli(args + ["--out", str(p1)]).returncode == 0
-    assert run_cli(args + ["--out", str(p2)]).returncode == 0
-    b1, b2 = p1.read_bytes(), p2.read_bytes()
-    assert b1 == b2  # byte-identical reruns
-    lines = b1.decode().splitlines()
-    assert lines[0] == "alpha,strict_weak_exact,null_mc,null_mc_stderr,null_zero_fraction"
-    assert len(lines) == 3
-    assert b"\r" not in b1  # LF endings
-
-
 def test_figure2_empty_grid_exits_2():
     out = run_cli(["figure2", "--alphas", "", "--n", "100", "--samples", "1"])
     assert out.returncode == 2
@@ -152,6 +138,16 @@ def test_worker_count_does_not_change_output(tmp_path, command):
     assert run_cli(args + ["--out", str(p1)], env_extra={"RSM_THREADS": "1"}).returncode == 0
     assert run_cli(args + ["--out", str(p2)], env_extra={"RSM_THREADS": "3"}).returncode == 0
     assert p1.read_bytes() == p2.read_bytes() == golden.encode()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_non_positive_rsm_threads_exits_2(threads):
+    out = run_cli(
+        ["figure2", "--alphas", "0.25,0.5", "--n", "50", "--samples", "2"],
+        env_extra={"RSM_THREADS": threads},
+    )
+    assert out.returncode == 2
+    assert "RSM_THREADS" in out.stderr
 
 
 def test_figure2_fans_out_to_rsm_threads_workers(tmp_path, monkeypatch):

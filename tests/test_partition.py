@@ -21,7 +21,12 @@ from subseqlab.partition import (
     log_count_embeddings,
     skip_vector_of,
 )
-from subseqlab.verify import brute_common_subsequences, brute_count, brute_embeddings
+from subseqlab.verify import (
+    brute_common_subsequences,
+    brute_count,
+    brute_embeddings,
+    check_rank_one_vs_generic,
+)
 
 NEG_INF = float("-inf")
 
@@ -108,6 +113,18 @@ def test_bernoulli_half_performance_and_memory():
     assert rows == 10_000
     assert math.isfinite(table.value)
     assert elapsed < 10.0
+
+
+def test_log_dp_rejects_weight_row_of_wrong_length():
+    table = LogDPTable(3)
+    for width in (2, 4):
+        with pytest.raises(ValueError):
+            table.advance(np.zeros(width))
+
+
+def test_rank_one_kernel_equals_generic_route():
+    result = check_rank_one_vs_generic()
+    assert result.passed, result.detail
 
 
 def test_greedy_examples():
