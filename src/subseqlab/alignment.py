@@ -16,8 +16,16 @@ i is 0 when the block majorities disagree (ties count as majority 1) and
 min(1, delta * displacement(y-block)) otherwise, which collapses to the single
 expression clip(delta * s_i * d, 0, 1) for the x-block majority sign s_i and
 the y-block bit-sum difference d.  Total alignment is the exact supremum of
-the average local alignment over the partition family, found by dynamic
-programming over (consumed prefix, number of conforming blocks).
+the average local alignment over the partition family.
+
+It is computed from one DP row and a certificate.  A block sweep over the
+consumed prefix of y with no conforming requirement gives the supremum over all
+partitions; one optimal path, read back preferring conforming lengths on ties,
+certifies it when it has the conforming blocks the family needs.  Otherwise the
+same sweep reruns over (consumed prefix, conforming blocks capped at the need).
+Both are exact in floats: rounding is monotone, so a max-plus DP returns the
+largest left-to-right float sum over its paths, and a certified witness lies in
+the family and attains the unconstrained largest sum.
 """
 
 from __future__ import annotations
@@ -190,28 +198,42 @@ def _block_signs(x: BitString, params: AlignmentParams) -> np.ndarray:
     return np.where(2 * sums >= b, 1.0, -1.0)
 
 
-def _total_alignment(x: BitString, y: BitString, params: AlignmentParams, standardized: bool) -> float:
+def _dp_inputs(x: BitString, y: BitString, params: AlignmentParams, standardized: bool):
+    """The sweep's inputs (x's block signs, y's +-1 prefix walk, the (B, b+1) table
+    of conforming (block, length) pairs, delta) and the conforming blocks required."""
     b, big_b = params.b, params.big_b
     if len(x) // b != big_b:
         raise ValueError("dimension mismatch: params were built for a different ambient length")
     m = len(y)
     if m > big_b * b:
         raise ValueError(f"dimension mismatch: |y|={m} exceeds B*b={big_b * b}")
-    signs = _block_signs(x, params)
     steps = 2 * y.bits.astype(np.int64) - 1
     prefix = np.concatenate([[0], np.cumsum(steps)]).astype(np.float64)
-    delta = params.delta
     budget = params.standardized_budget if standardized else params.induced_budget
-    required = max(0, big_b - budget)  # conforming blocks needed, capped count
-    targets = params.std_targets() if standardized else None
-    lo_w, hi_w = params.window_ints()
+    lengths = np.arange(b + 1)
+    if standardized:
+        conforming = lengths == params.std_targets()[:, None]
+    else:
+        lo_w, hi_w = params.window_ints()
+        conforming = np.broadcast_to((lo_w <= lengths) & (lengths <= hi_w), (big_b, b + 1))
+    return (_block_signs(x, params), prefix, conforming, params.delta), max(0, big_b - budget)
 
-    # f[c, p]: best gain with p symbols of y consumed in c conforming blocks
-    # (capped at required).  After i blocks only p in [m - (B-i)*b, i*b] can
-    # reach f[required, m], so block i reads that window and writes the one
-    # for i+1; the cells it skips stay -inf and are never read.
-    f = np.full((required + 1, m + 1), NEG_INF)
+
+def _sweep(signs, prefix, conforming, delta, rows: int):
+    """The block sweep with `rows` rows of conforming-block counts; one row
+    drops the conforming requirement.  Yields (lo, f[:, lo:hi+1]) for the
+    start state and after each block.
+
+    f[c, p] is the best gain with p symbols of y consumed in c conforming
+    blocks (capped at rows - 1).  After i blocks only p in [m - (B-i)*b, i*b]
+    can reach f[rows - 1, m], so block i reads that window and writes the one
+    for i+1; the cells it skips stay -inf and are never read.
+    """
+    (big_b, width), m = conforming.shape, len(prefix) - 1
+    b, top = width - 1, rows - 1
+    f = np.full((rows, m + 1), NEG_INF)
     f[0, 0] = 0.0
+    yield 0, f[:, :1]
     for i in range(big_b):
         s = signs[i]
         new = np.full_like(f, NEG_INF)
@@ -222,22 +244,49 @@ def _total_alignment(x: BitString, y: BitString, params: AlignmentParams, standa
             if lo >= hi:
                 continue
             gain = np.clip(delta * s * (prefix[lo + length:hi + length] - prefix[lo:hi]), 0.0, 1.0)
-            if standardized:
-                conforming = length == targets[i]
-            else:
-                conforming = lo_w <= length <= hi_w
             cand = f[:, lo:hi] + gain
             out = new[:, lo + length:hi + length]
-            if conforming and required > 0:
+            if top and conforming[i, length]:
                 np.maximum(out[1:], cand[:-1], out=out[1:])
-                np.maximum(out[required], cand[required], out=out[required])
+                np.maximum(out[top], cand[top], out=out[top])
             else:
                 np.maximum(out, cand, out=out)
         f = new
-    best = f[required, m]
+        yield dst_lo, f[:, dst_lo:dst_hi + 1]
+
+
+def _witness_conforming(history, signs, prefix, conforming, delta) -> int:
+    """Conforming blocks on one path that attains the one-row maximum at
+    (B, m), read back from the one-row sweep's bands; where several block
+    lengths attain it, a conforming one is taken."""
+    p, count = len(prefix) - 1, 0
+    for i in range(len(signs) - 1, -1, -1):
+        (prev_lo, prev), (cur_lo, cur) = history[i], history[i + 1]
+        q = np.arange(max(prev_lo, p - conforming.shape[1] + 1), min(prev_lo + len(prev) - 1, p) + 1)
+        # The sweep's gain expression, so the sum matching cur[p] is exact.
+        gain = np.clip(delta * signs[i] * (prefix[p] - prefix[q]), 0.0, 1.0)
+        hit = prev[q - prev_lo] + gain == cur[p - cur_lo]
+        conf = hit & conforming[i, p - q]
+        if conf.any():
+            count, hit = count + 1, conf
+        p = int(q[np.argmax(hit)])
+    return count
+
+
+def _total_alignment(x: BitString, y: BitString, params: AlignmentParams, standardized: bool) -> float:
+    dp, required = _dp_inputs(x, y, params, standardized)
+    m = len(y)
+    history = [(lo, band[0].copy()) for lo, band in _sweep(*dp, 1)]
+    lo, last = history[-1]
+    best = last[m - lo]
+    if required and best != NEG_INF and _witness_conforming(history, *dp) < required:
+        del history  # so the two sweeps' arrays are never held at once
+        for lo, band in _sweep(*dp, required + 1):
+            pass
+        best = band[required, m - lo]
     if best == NEG_INF:
         return NEG_INF
-    return float(best) / big_b
+    return float(best) / params.big_b
 
 
 def total_alignment_ind(x: BitString, y: BitString, params: AlignmentParams) -> float:
@@ -413,6 +462,8 @@ def alignment_trials(alpha: float, b: int, n: int, trials: int, seed: Seed):
 def alignment_experiment(alpha: float, b: int, n: int, trials: int, seed: Seed) -> AlignmentExperiment:
     """Good-set frequencies under the planted and null laws on typical ambient
     strings: the desk-scale separation witness."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     params = AlignmentParams(alpha=alpha, b=b, n=n)
     good = {"planted": 0, "null": 0}
     for law, x, y in alignment_trials(alpha, b, n, trials, seed):

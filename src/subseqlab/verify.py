@@ -316,6 +316,38 @@ def check_alignment_small_oracle(seed: int = 1006) -> CheckResult:
     return _result("alignment/dp-vs-exhaustive", True, "B <= 4, b <= 4, both budgets")
 
 
+def check_alignment_certified_vs_full(cases: int = 300, seed: int = 1009) -> CheckResult:
+    """Both alignment scores against the full sweep with required + 1 rows on
+    binding budgets (b <= 16, eps up to 1/2), typical and arbitrary |y| and
+    empty families.  Fails unless some finite cases certify and some fall back."""
+    name = "alignment/certified-vs-full"
+    rng = np.random.default_rng(seed)
+    seen = {"certified": 0, "fell back": 0, "empty": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(cases):
+            alpha, eps = float(rng.choice((0.2, 0.3, 0.5, 0.7, 0.9))), float(rng.choice((1 / 24, 0.25, 0.4, 0.5)))
+            b, big_b = int(rng.choice((2, 4, 8, 16))), int(rng.integers(1, 21))
+            params = alignment.AlignmentParams(alpha=alpha, b=b, n=big_b * b, epsilon=eps)
+            x = BitString(rng.integers(0, 2, big_b * b, dtype=np.uint8))
+            m = embedded_length(alpha, big_b * b) if rng.random() < 0.5 else int(rng.integers(0, big_b * b + 1))
+            y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
+            for std, score in ((False, alignment.total_alignment_ind), (True, alignment.total_alignment_std)):
+                dp, required = alignment._dp_inputs(x, y, params, std)
+                for lo, band in alignment._sweep(*dp, required + 1):
+                    pass
+                full = band[required, m - lo]
+                if score(x, y, params) != float(full) / big_b:
+                    return _result(name, False, f"{score.__name__} != {full!r}/{big_b} at b={b}, eps={eps}")
+                if full == float("-inf"):
+                    seen["empty"] += 1
+                elif required:
+                    history = [(lo, band[0].copy()) for lo, band in alignment._sweep(*dp, 1)]
+                    seen["certified" if alignment._witness_conforming(history, *dp) >= required else "fell back"] += 1
+    detail = f"{2 * cases} scores equal; " + ", ".join(f"{v} {k}" for k, v in seen.items())
+    return _result(name, all(seen.values()), detail)
+
+
 def check_standardize_soundness(seed: int = 1007) -> CheckResult:
     # eps = 1/4 is the largest exponent at alpha = 1/2 for which the slack
     # blocks provably stay inside [0, b]; it also makes the scan cap > 1, so
@@ -402,6 +434,7 @@ FAST_CHECKS = (
     check_capacity_constants,
     check_capacity_sandwich,
     check_alignment_small_oracle,
+    check_alignment_certified_vs_full,
     check_standardize_soundness,
 )
 

@@ -20,7 +20,7 @@ from subseqlab.alignment import (
     total_alignment_ind,
     total_alignment_std,
 )
-from subseqlab.verify import brute_total_alignment
+from subseqlab.verify import brute_total_alignment, check_alignment_certified_vs_full
 
 NEG_INF = float("-inf")
 
@@ -112,6 +112,30 @@ def test_dp_scores_pinned_at_twenty_blocks(eps):
     assert [law for law, _, _ in pairs] == ["planted", "null"] * 2
     assert tuple(total_alignment_ind(x, y, params) for _, x, y in pairs) == PINNED_SCORES[eps]
     assert tuple(total_alignment_std(x, y, params) for _, x, y in pairs) == PINNED_SCORES[eps]
+
+
+def test_certified_dp_equals_full_dp():
+    result = check_alignment_certified_vs_full()
+    assert result.passed, result.detail
+
+
+def test_full_dp_decides_when_the_certificate_fails(monkeypatch):
+    # Trial 0's null pair at seed 35, eps = 0.4: every one-row optimal path has
+    # fewer than the 14 conforming blocks the induced family needs, and the
+    # one-row supremum (0.8394645708137999) exceeds the constrained one, so
+    # the multi-row DP must run and give the pinned value.
+    params = quiet_params(alpha=0.5, b=16, n=320, epsilon=0.4)
+    law, x, y = list(alignment.alignment_trials(0.5, 16, 320, 1, Seed(35)))[1]
+    assert law == "null"
+    rows, sweep = [], alignment._sweep
+
+    def spy(*args):
+        rows.append(args[-1])
+        return sweep(*args)
+
+    monkeypatch.setattr(alignment, "_sweep", spy)
+    assert total_alignment_ind(x, y, params) == 0.8273574849765598
+    assert rows == [1, 15]
 
 
 def test_single_block_case():

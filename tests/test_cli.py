@@ -181,6 +181,15 @@ def test_alignment_experiment_small(tmp_path):
     assert lines[2].startswith("null,4,")
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_alignment_experiment_trials_below_one_exits_2(trials):
+    out = run_cli(
+        ["alignment-experiment", "--alpha", "0.5", "--b", "16", "--n", "320", "--trials", str(trials)]
+    )
+    assert out.returncode == 2
+    assert "trials" in out.stderr
+
+
 def test_float_formatting_12_significant_digits(tmp_path):
     p = tmp_path / "f.csv"
     run_cli(["figure2", "--alphas", "0.25", "--n", "200", "--samples", "2", "--out", str(p)])
