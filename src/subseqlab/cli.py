@@ -6,7 +6,8 @@ are printed with 12 significant digits; CSV is UTF-8 with a header row and LF
 endings; every subcommand honors --seed (default 42) and reruns are
 byte-identical.  RSM_THREADS > 1 fans grid points out to worker processes;
 per-sample substreams make the output independent of the worker count.
-Exit codes: 0 success, 1 verification failure, 2 usage or parse errors.
+Exit codes: 0 success, 1 verification failure, 2 usage, parse or output-path
+errors (checked before any work runs).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import __version__
 from .alignment import alignment_experiment
 from .annealed import LN2
 from .core import BitString, Seed
-from .montecarlo import CurveSpec, curve, mutual_info_point, polymer_comparison_curve
+from .montecarlo import CurveSpec, check_alpha_grid, curve, mutual_info_point, polymer_comparison_curve
 from .partition import count_embeddings_exact
 from .svg import render_line_chart
 from . import verify as verify_mod
@@ -90,6 +91,17 @@ def _parse_grid(text: str):
     return vals
 
 
+def _check_writable(path: Optional[str]) -> None:
+    """Reject an output path that cannot be created before any work runs."""
+    if path is None:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path!r}: it is a directory")
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ValueError(f"cannot write {path!r}: {folder!r} is not a writable directory")
+
+
 def _unit_scale(bits: bool) -> float:
     return 1.0 / LN2 if bits else 1.0
 
@@ -146,7 +158,7 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_figure2(args) -> int:
-    grid = _parse_grid(args.alphas)
+    grid = check_alpha_grid(_parse_grid(args.alphas))
     spec = CurveSpec(grid=grid, n=args.n, samples=args.samples, seed=Seed(args.seed))
     config = RunConfig(
         command="figure2", grid=spec.grid, n=spec.n, samples=spec.samples,
@@ -199,7 +211,7 @@ def cmd_verify(args) -> int:
     for r in results:
         tag = "PASS" if r.passed else "FAIL"
         detail = f"  ({r.detail})" if r.detail else ""
-        print(f"{tag}  {r.name}{detail}")
+        print(f"{tag}  {r.name}  [{r.seconds:.2f} s]{detail}")
         failed += not r.passed
     print(f"{len(results) - failed}/{len(results)} checks passed [{args.level}]")
     return 1 if failed else 0
@@ -262,12 +274,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in (getattr(args, "out", None), getattr(args, "svg", None)):
+            _check_writable(path)
         return args.fn(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

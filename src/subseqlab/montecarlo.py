@@ -217,11 +217,18 @@ def polymer_point(alpha: float, n: int, samples: int, seed: Seed) -> PolymerComp
     )
 
 
+def check_alpha_grid(grid: tuple) -> tuple:
+    """The grid itself when it is strictly increasing in (0, 1/2], the range of
+    the polymer comparison; ValueError otherwise."""
+    if any(not 0 < a <= 0.5 for a in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"alpha grid must be strictly increasing with values in (0, 1/2], got {grid}")
+    return grid
+
+
 def polymer_comparison_curve(spec: CurveSpec) -> list:
     """Exactly solvable Gamma-polymer value vs the simulated null model over an
     alpha grid in (0, 1/2]."""
-    if any(not 0 < a <= 0.5 for a in spec.grid):
-        raise ValueError("alpha grid must lie in (0, 1/2]")
+    check_alpha_grid(spec.grid)
     return curve(polymer_point, spec)
 
 

@@ -8,17 +8,22 @@ The count of strictly increasing embeddings sigma with x[sigma] = y obeys
 
 and the weighted generalization replaces the indicator by an arbitrary
 non-negative weight B[n, m].  Both DPs stream one row at a time, so memory is
-O(M) regardless of N, plus O(N) integer slice bounds in the rank-one kernel.
+O(M) regardless of N, plus O(N) integer tables in the rank-one kernel.
 Zero partition functions are represented by -inf in the log domain; numpy's
 logaddexp satisfies logaddexp(-inf, a) = a exactly, which is the identity the
 recurrence needs.
 
-Only the diagonal band m <= n, M - m <= N - n can reach Z[N, M] (Ukkonen,
-Inf. Control 1985): above it Z is 0, and below it too few symbols of x are
-left to embed the rest of y.  A band cell reads only band cells of the row
-above, so skipping the rest leaves every value in the band, and log Z, bit for
-bit the same.  The rank-one kernel keeps to the whole band; LogDPTable, which
-does not know N, skips only the cells above it.
+Every embedding sigma of y into x lies between the leftmost (greedy) embedding
+L and the rightmost one R: L_j <= sigma_j <= R_j.  The rank-one kernel keeps to
+this corridor: it reads x_n into position j of y only when L_j <= n <= R_j,
+which is exactly when some embedding matches y_j to x_n.  Below the corridor
+(n < L_j) the cell it reads holds Z = 0, and logaddexp(a, -inf) == a exactly;
+above it (n > R_j) the cell it writes has no embedding of the rest of y to its
+right, and such a cell is read only by cells with the same defect.  So log Z
+is bit for bit that of the full recurrence.  The corridor lies inside
+Ukkonen's band (L_j >= j, R_j <= N - M + j), and when L does not exist Z = 0
+and no DP runs.  LogDPTable, which sees only weight rows, skips only the
+entries past its row count, which are still Z = 0.
 """
 
 from __future__ import annotations
@@ -169,23 +174,33 @@ def _log_count_rank_one(x: BitString, y: BitString) -> float:
     # Same recurrence as LogDPTable.advance, but the indicator weights make the
     # update a gather/scatter on the positions of each bit value in y.  Row n
     # (reading x_n) writes Z[n+1, idx+1] from Z[n, idx] for the positions idx
-    # of x_n in y, and only the band max(0, M-N+n) <= idx <= min(n, M-1) can
-    # reach Z[N, M].  Those cells read only cells of the band above, so the
-    # stale entries left below it are never read.  O(N + M) memory.
-    n, m = len(x), len(y)
+    # of x_n in y with L_idx <= n <= R_idx (the corridor, see the module
+    # docstring); every other update adds Z = 0 or writes a cell no embedding
+    # passes through.  O(N + M) memory.
+    m = len(y)
+    if m == 0:
+        return 0.0
+    bounds = _corridor(x, y)
+    if bounds is None:
+        return NEG_INF
+    left, right = bounds
     row = np.full(m + 1, NEG_INF)
     row[0] = 0.0
     ybits = y.bits
     src_for = (np.flatnonzero(ybits == 0), np.flatnonzero(ybits == 1))
     dst_for = (src_for[0] + 1, src_for[1] + 1)
-    # Per-row slice bounds into the positions of x_n's bit value in y.
-    rows = np.arange(n)
-    lo_for = [np.searchsorted(p, rows + (m - n)) for p in src_for]
-    hi_for = [np.searchsorted(p, rows, side="right") for p in src_for]
-    ones = x.bits == 1
+    # Per-row slice bounds into the positions of x_n's bit value in y: L and R
+    # increase, so {idx: R_idx >= n} is a suffix and {idx: L_idx <= n} a prefix.
+    # Rows outside [L_0, R_{M-1}] update nothing.
+    first, last = left[0], right[-1] + 1
+    rows = np.arange(first, last)
+    lo_for = [np.searchsorted(right[p], rows) for p in src_for]
+    hi_for = [np.searchsorted(left[p], rows, side="right") for p in src_for]
+    xbits = x.bits[first:last]
+    ones = xbits == 1
     starts = np.where(ones, lo_for[1], lo_for[0])
     stops = np.where(ones, hi_for[1], hi_for[0])
-    for bit, lo, hi in zip(x.bits, starts, stops):
+    for bit, lo, hi in zip(xbits, starts, stops):
         if lo < hi:
             src, dst = src_for[bit][lo:hi], dst_for[bit][lo:hi]
             row[dst] = np.logaddexp(row[dst], row[src])
@@ -222,24 +237,46 @@ def count_embeddings_exact(x: BitString, y: BitString):
     return row[m]
 
 
+def _next_occurrence(bits: np.ndarray) -> np.ndarray:
+    """table[b, t] = least index >= t holding bit b, len(bits) when none."""
+    n = len(bits)
+    table = np.empty((2, n + 1), dtype=np.int64)
+    for b in (0, 1):
+        pos = np.append(np.flatnonzero(bits == b), n)
+        table[b] = pos[np.searchsorted(pos[:-1], np.arange(n + 1))]
+    return table
+
+
 def greedy_embed(x: BitString, y: BitString) -> Optional[np.ndarray]:
     """Leftmost embedding of y into x, or None when y is not a subsequence.
 
     None happens exactly when the embedding count is zero: any embedding sits
     weakly to the right of the greedy one at every step.
     """
-    xb, yb = x.bits, y.bits
-    out = np.empty(len(y), dtype=np.int64)
-    t = 0
+    # y_i goes to the first occurrence of its bit after y_{i-1}'s.
+    # Memoryviews index and store Python ints without numpy scalars.
     n = len(x)
-    for i, bit in enumerate(yb):
-        while t < n and xb[t] != bit:
-            t += 1
+    nxt = memoryview(_next_occurrence(x.bits))
+    out = np.empty(len(y), dtype=np.int64)
+    put = memoryview(out)
+    t = -1
+    for i, bit in enumerate(y.bits.tolist()):
+        t = nxt[bit, t + 1]
         if t == n:
             return None
-        out[i] = t
-        t += 1
+        put[i] = t
     return out
+
+
+def _corridor(x: BitString, y: BitString):
+    """(L, R), the leftmost and rightmost embeddings of y into x, or None when
+    there is none.  R is the leftmost embedding of the reversed strings, read
+    back from the right end of x."""
+    left = greedy_embed(x, y)
+    if left is None:
+        return None
+    right = len(x) - 1 - greedy_embed(x[::-1], y[::-1])[::-1]
+    return left, right
 
 
 @dataclass(frozen=True)
@@ -270,11 +307,7 @@ def skip_vector_of(x: BitString, y: BitString, sigma) -> SkipVector:
     sig = _validate_embedding(x, y, sigma)
     xb = x.bits
     n = len(x)
-    # next_occ[b][t] = least index >= t holding bit b, n when none.
-    next_occ = np.full((2, n + 1), n, dtype=np.int64)
-    for t in range(n - 1, -1, -1):
-        next_occ[0, t] = t if xb[t] == 0 else next_occ[0, t + 1]
-        next_occ[1, t] = t if xb[t] == 1 else next_occ[1, t + 1]
+    next_occ = _next_occurrence(xb)
     # prefix_occ[b][t] = number of positions < t holding bit b.
     prefix_occ = np.zeros((2, n + 1), dtype=np.int64)
     prefix_occ[0, 1:] = np.cumsum(xb == 0)

@@ -9,8 +9,10 @@ defined here once; the tests import them and apply their own tolerances.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import alignment, annealed, capacity, montecarlo
-from .core import BitString, Seed, all_bitstrings, embedded_length, sample_planted
+from .core import BitString, Seed, all_bitstrings, embedded_length, sample_null, sample_planted
 from .partition import (
     LogDPTable,
     RankOneIndicator,
@@ -84,6 +86,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0  # wall time of the check, filled in by run()
 
 
 def _result(name, passed, detail=""):
@@ -122,9 +125,12 @@ def check_logdp_vs_exact(pairs: int = 60, seed: int = 1002) -> CheckResult:
 
 
 def check_rank_one_vs_generic(pairs: int = 200, seed: int = 1008) -> CheckResult:
-    """The banded rank-one kernel against the generic LogDPTable route fed the
-    same indicator rows.  Both run the same logaddexps on the cells that reach
-    Z[N, M], so they must agree exactly, band edges and Z = 0 included."""
+    """The corridor rank-one kernel against the generic LogDPTable route fed the
+    same indicator rows.  Both run the same logaddexps on every cell an
+    embedding passes through, so they must agree exactly: at M = 0 and M = N,
+    on Z = 0 pairs, where the corridor binds (planted alpha >= 1/2, null alpha
+    near 1/2) and where L or R runs along the band edge (y a prefix or a
+    suffix of x)."""
     name = "partition/rank-one-vs-generic"
     rng = np.random.default_rng(seed)
 
@@ -139,8 +145,19 @@ def check_rank_one_vs_generic(pairs: int = 200, seed: int = 1008) -> CheckResult
     for _ in range(pairs):
         n = int(rng.integers(0, 401))
         cases.append((rand(n), rand(int(rng.integers(0, n + 1)))))
-    for alpha in (0.5, 0.9, 1.0):
-        d = sample_planted(2000, embedded_length(alpha, 2000), Seed(seed))
+    for n in (13, 400, 2000):
+        x = rand(n)
+        for m in (1, n // 2, n - 1):
+            # L_j = j on a prefix and R_j = N - M + j on a suffix; the last
+            # pair's greedy runs to x[m - 1], then finds no 1 in the zero tail.
+            tail_zero = BitString(np.concatenate([x.bits[:m - 1], np.zeros(n - m + 1, np.uint8)]))
+            cases += [(x, x[:m]), (x, x[n - m:]), (tail_zero, BitString(np.append(x.bits[:m - 1], 1)))]
+    root = Seed(seed)
+    for i, alpha in enumerate((0.5, 0.6, 0.9, 1.0)):
+        d = sample_planted(2000, embedded_length(alpha, 2000), root.substream(i))
+        cases.append((d.x, d.y))
+    for i, alpha in enumerate((0.45, 0.45, 0.5, 0.5, 0.5, 0.5)):
+        d = sample_null(2000, embedded_length(alpha, 2000), root.substream(4 + i))
         cases.append((d.x, d.y))
     zeros = 0
     for x, y in cases:
@@ -453,8 +470,10 @@ def run(level: str = "fast"):
     checks = FAST_CHECKS if level == "fast" else FULL_CHECKS
     results = []
     for fn in checks:
+        start = time.perf_counter()
         try:
-            results.append(fn())
+            result = fn()
         except Exception as exc:  # a crash is a failure, not an abort
-            results.append(CheckResult(name=fn.__name__, passed=False, detail=f"raised {exc!r}"))
+            result = CheckResult(name=fn.__name__, passed=False, detail=f"raised {exc!r}")
+        results.append(dataclasses.replace(result, seconds=time.perf_counter() - start))
     return results

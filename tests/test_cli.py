@@ -2,12 +2,14 @@ import concurrent.futures
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import subseqlab.annealed
+import subseqlab.cli
 import subseqlab.verify
 from subseqlab.cli import main
 
@@ -64,6 +66,23 @@ def test_figure2_empty_grid_exits_2():
 def test_figure2_alpha_above_half_exits_2():
     out = run_cli(["figure2", "--alphas", "0.3,0.7", "--n", "100", "--samples", "1"])
     assert out.returncode == 2
+
+
+def test_figure2_descending_alphas_names_the_alpha_range():
+    out = run_cli(["figure2", "--alphas", "0.3,0.2", "--n", "100", "--samples", "1"])
+    assert out.returncode == 2
+    assert "(0, 1/2]" in out.stderr and "[0, 1)" not in out.stderr
+
+
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_unwritable_output_path_exits_2_before_the_curve(flag, monkeypatch, capsys):
+    def no_curve(*args):
+        raise AssertionError("the curve ran before the output path was checked")
+
+    monkeypatch.setattr(subseqlab.cli, "curve", no_curve)
+    rc = main(["figure1", flag, "/nonexistent/x.csv"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: cannot write '/nonexistent/x.csv'")
 
 
 def test_figure1_smoke_with_svg_and_json(tmp_path):
@@ -220,6 +239,9 @@ def test_verify_fast_passes_in_process(capsys):
     assert rc == 0
     assert "FAIL" not in out
     assert "checks passed" in out
+    # every check line carries its wall time
+    check_lines = out.splitlines()[:-1]
+    assert check_lines and all(re.match(r"PASS  \S+  \[\d+\.\d\d s\]", line) for line in check_lines)
 
 
 def test_verify_detects_corrupted_constant(monkeypatch, capsys):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subseqlab.core import BitString, Seed
+from subseqlab import partition
+from subseqlab.core import BitString, Seed, all_bitstrings
 from subseqlab.partition import (
     ExplicitMatrix,
     IidBernoulliHalf,
@@ -125,6 +126,44 @@ def test_log_dp_rejects_weight_row_of_wrong_length():
 def test_rank_one_kernel_equals_generic_route():
     result = check_rank_one_vs_generic()
     assert result.passed, result.detail
+
+
+def test_corridor_is_min_and_max_over_all_embeddings():
+    # L and R are the per-position min and max over every embedding, and the
+    # corridor is absent exactly when no embedding exists: every pair with
+    # |x| <= 6, then random pairs up to |x| = 10.
+    rng = np.random.default_rng(29)
+    pairs = [(x, y) for n in range(7) for x in all_bitstrings(n) for m in range(n + 1) for y in all_bitstrings(m)]
+    for _ in range(600):
+        n = int(rng.integers(7, 11))
+        m = int(rng.integers(0, n + 1))
+        pairs.append((BitString(rng.integers(0, 2, n, dtype=np.uint8)), BitString(rng.integers(0, 2, m, dtype=np.uint8))))
+    for x, y in pairs:
+        embeddings = list(brute_embeddings(x, y))
+        bounds = partition._corridor(x, y)
+        if not embeddings:
+            assert bounds is None
+        else:
+            table = np.array(embeddings, dtype=np.int64).reshape(len(embeddings), len(y))
+            assert list(bounds[0]) == list(table.min(axis=0))
+            assert list(bounds[1]) == list(table.max(axis=0))
+
+
+@pytest.mark.parametrize("edge", ["left", "right"])
+def test_narrowed_corridor_fails_the_generic_check(edge, monkeypatch):
+    # Moving either corridor edge in by one cell drops updates that carry
+    # embeddings, and the rank-one-vs-generic check must see it.
+    real = partition._corridor
+
+    def narrowed(x, y):
+        bounds = real(x, y)
+        if bounds is None:
+            return None
+        left, right = bounds
+        return (left + 1, right) if edge == "left" else (left, right - 1)
+
+    monkeypatch.setattr(partition, "_corridor", narrowed)
+    assert not check_rank_one_vs_generic().passed
 
 
 def test_greedy_examples():
