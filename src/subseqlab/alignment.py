@@ -26,6 +26,13 @@ same sweep reruns over (consumed prefix, conforming blocks capped at the need).
 Both are exact in floats: rounding is monotone, so a max-plus DP returns the
 largest left-to-right float sum over its paths, and a certified witness lies in
 the family and attains the unconstrained largest sum.
+
+A block's gain depends only on its x-block's sign and its own length and start
+in y, so each score builds two (min(b, |y|) + 1) x (|y| + 1) float64 gain
+tables, one per sign (3.3 MB at b = 64, |y| = 3200), and both sweeps and the
+witness read them instead of recomputing the clip per (block, length).  Each
+cell is the clip expression evaluated with the same float operations, so the
+scores are the same bits.  The tables are freed when the score returns.
 """
 
 from __future__ import annotations
@@ -68,6 +75,10 @@ class AlignmentParams:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.b < 1 or self.n < self.b:
             raise ValueError("need 1 <= b <= n")
+        if self.n % self.b:
+            # The DP cuts x into n // b blocks; a remainder would be left out
+            # of every block while y may still be drawn from it.
+            raise ValueError(f"n must be a multiple of b, got n={self.n}, b={self.b}")
         if not 0 < self.epsilon <= 0.5:
             raise ValueError("epsilon must lie in (0, 1/2]")
         if self.delta * self.alpha * self.b < 1:
@@ -198,17 +209,37 @@ def _block_signs(x: BitString, params: AlignmentParams) -> np.ndarray:
     return np.where(2 * sums >= b, 1.0, -1.0)
 
 
+def _gain_tables(y: BitString, params: AlignmentParams) -> dict:
+    """The local alignment of every y-block against an x-block of each majority
+    sign s = +-1: tables[s][L, p] = clip(delta * s * (walk[p+L] - walk[p]), 0, 1)
+    for the +-1 prefix walk of y, 0 <= L <= min(b, |y|) and p + L <= |y|; the
+    cells with p + L > |y| hold NaN.  Two (min(b, |y|) + 1) x (|y| + 1) float64
+    tables, since a block's gain depends on its sign, length and start only."""
+    m = len(y)
+    steps = 2 * y.bits.astype(np.int64) - 1
+    prefix = np.concatenate([[0], np.cumsum(steps)]).astype(np.float64)
+    tables = {}
+    for s in (1.0, -1.0):
+        table = np.full((min(params.b, m) + 1, m + 1), np.nan)
+        for length in range(len(table)):
+            gain = params.delta * s * (prefix[length:] - prefix[:m + 1 - length])
+            np.clip(gain, 0.0, 1.0, out=table[length, :m + 1 - length])
+        tables[s] = table
+    return tables
+
+
 def _dp_inputs(x: BitString, y: BitString, params: AlignmentParams, standardized: bool):
-    """The sweep's inputs (x's block signs, y's +-1 prefix walk, the (B, b+1) table
-    of conforming (block, length) pairs, delta) and the conforming blocks required."""
+    """The sweep's inputs (each x-block's gain table, by reference into the two
+    per-sign tables, and the (B, b+1) table of conforming (block, length)
+    pairs) and the conforming blocks required."""
     b, big_b = params.b, params.big_b
     if len(x) // b != big_b:
         raise ValueError("dimension mismatch: params were built for a different ambient length")
     m = len(y)
     if m > big_b * b:
         raise ValueError(f"dimension mismatch: |y|={m} exceeds B*b={big_b * b}")
-    steps = 2 * y.bits.astype(np.int64) - 1
-    prefix = np.concatenate([[0], np.cumsum(steps)]).astype(np.float64)
+    tables = _gain_tables(y, params)
+    gains = [tables[s] for s in _block_signs(x, params)]
     budget = params.standardized_budget if standardized else params.induced_budget
     lengths = np.arange(b + 1)
     if standardized:
@@ -216,10 +247,10 @@ def _dp_inputs(x: BitString, y: BitString, params: AlignmentParams, standardized
     else:
         lo_w, hi_w = params.window_ints()
         conforming = np.broadcast_to((lo_w <= lengths) & (lengths <= hi_w), (big_b, b + 1))
-    return (_block_signs(x, params), prefix, conforming, params.delta), max(0, big_b - budget)
+    return (gains, conforming), max(0, big_b - budget)
 
 
-def _sweep(signs, prefix, conforming, delta, rows: int):
+def _sweep(gains, conforming, rows: int):
     """The block sweep with `rows` rows of conforming-block counts; one row
     drops the conforming requirement.  Yields (lo, f[:, lo:hi+1]) for the
     start state and after each block.
@@ -227,15 +258,19 @@ def _sweep(signs, prefix, conforming, delta, rows: int):
     f[c, p] is the best gain with p symbols of y consumed in c conforming
     blocks (capped at rows - 1).  After i blocks only p in [m - (B-i)*b, i*b]
     can reach f[rows - 1, m], so block i reads that window and writes the one
-    for i+1; the cells it skips stay -inf and are never read.
+    for i+1; the cells it skips stay -inf and are never read.  Block i's gains
+    for length L are the row slice gains[i][L, lo:hi], a view into its sign's
+    (min(b, m) + 1) x (m + 1) table built once per score; each cell is the
+    clip of the local alignment itself, so the sums are the same bits as a
+    sweep that evaluates the clip at every step.
     """
-    (big_b, width), m = conforming.shape, len(prefix) - 1
+    (big_b, width), m = conforming.shape, gains[0].shape[1] - 1
     b, top = width - 1, rows - 1
     f = np.full((rows, m + 1), NEG_INF)
     f[0, 0] = 0.0
     yield 0, f[:, :1]
     for i in range(big_b):
-        s = signs[i]
+        table = gains[i]
         new = np.full_like(f, NEG_INF)
         src_lo, src_hi = max(0, m - (big_b - i) * b), min(m, i * b)
         dst_lo, dst_hi = max(0, m - (big_b - i - 1) * b), min(m, (i + 1) * b)
@@ -243,8 +278,7 @@ def _sweep(signs, prefix, conforming, delta, rows: int):
             lo, hi = max(src_lo, dst_lo - length), min(src_hi, dst_hi - length) + 1
             if lo >= hi:
                 continue
-            gain = np.clip(delta * s * (prefix[lo + length:hi + length] - prefix[lo:hi]), 0.0, 1.0)
-            cand = f[:, lo:hi] + gain
+            cand = f[:, lo:hi] + table[length, lo:hi]
             out = new[:, lo + length:hi + length]
             if top and conforming[i, length]:
                 np.maximum(out[1:], cand[:-1], out=out[1:])
@@ -255,17 +289,17 @@ def _sweep(signs, prefix, conforming, delta, rows: int):
         yield dst_lo, f[:, dst_lo:dst_hi + 1]
 
 
-def _witness_conforming(history, signs, prefix, conforming, delta) -> int:
+def _witness_conforming(history, gains, conforming) -> int:
     """Conforming blocks on one path that attains the one-row maximum at
     (B, m), read back from the one-row sweep's bands; where several block
-    lengths attain it, a conforming one is taken."""
-    p, count = len(prefix) - 1, 0
-    for i in range(len(signs) - 1, -1, -1):
+    lengths attain it, a conforming one is taken.  The gains are read from the
+    sweep's own per-sign tables, so each sum is bit-for-bit the one the sweep
+    formed and the match against cur[p] is exact."""
+    p, count = gains[0].shape[1] - 1, 0
+    for i in range(len(gains) - 1, -1, -1):
         (prev_lo, prev), (cur_lo, cur) = history[i], history[i + 1]
         q = np.arange(max(prev_lo, p - conforming.shape[1] + 1), min(prev_lo + len(prev) - 1, p) + 1)
-        # The sweep's gain expression, so the sum matching cur[p] is exact.
-        gain = np.clip(delta * signs[i] * (prefix[p] - prefix[q]), 0.0, 1.0)
-        hit = prev[q - prev_lo] + gain == cur[p - cur_lo]
+        hit = prev[q - prev_lo] + gains[i][p - q, q] == cur[p - cur_lo]
         conf = hit & conforming[i, p - q]
         if conf.any():
             count, hit = count + 1, conf

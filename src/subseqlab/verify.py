@@ -26,6 +26,7 @@ from .partition import (
     RankOneIndicator,
     count_common_subsequences,
     count_embeddings_exact,
+    embedding_from_skips,
     greedy_embed,
     log_count_embeddings,
     skip_vector_of,
@@ -186,20 +187,26 @@ def check_greedy_equivalence(pairs: int = 2000, seed: int = 1003) -> CheckResult
     return _result("partition/greedy-equivalence", True, f"{pairs} pairs at n=25")
 
 
-def check_skip_vector_injectivity(seed: int = 1004) -> CheckResult:
+def check_skip_vector_injectivity(pairs: int = 40, seed: int = 1004) -> CheckResult:
+    """skip_vector_of is injective on the embeddings of each pair, and
+    embedding_from_skips maps every skip vector back to its embedding."""
+    name = "partition/skip-vector-injectivity"
     rng = np.random.default_rng(seed)
-    for _ in range(40):
-        n = int(rng.integers(2, 9))
-        m = int(rng.integers(1, n + 1))
+    for _ in range(pairs):
+        n = int(rng.integers(1, 11))
+        m = int(rng.integers(0, n + 1))
         x = BitString(rng.integers(0, 2, n, dtype=np.uint8))
         y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
         seen = {}
         for comb in brute_embeddings(x, y):
-            v = skip_vector_of(x, y, list(comb)).skips
-            if v in seen:
-                return _result("partition/skip-vector-injectivity", False, f"collision {v}")
-            seen[v] = comb
-    return _result("partition/skip-vector-injectivity", True, "exhaustive, n <= 8")
+            v = skip_vector_of(x, y, list(comb))
+            if v.skips in seen:
+                return _result(name, False, f"collision {v.skips}")
+            seen[v.skips] = comb
+            back = embedding_from_skips(x, y, v)
+            if back is None or tuple(int(i) for i in back) != comb:
+                return _result(name, False, f"{v.skips} decodes to {back!r}, not {comb} at {x!r}, {y!r}")
+    return _result(name, True, f"exhaustive round trip, {pairs} pairs, n <= 10")
 
 
 def check_common_subsequence_oracle(seed: int = 1005) -> CheckResult:
@@ -333,6 +340,43 @@ def check_alignment_small_oracle(seed: int = 1006) -> CheckResult:
     return _result("alignment/dp-vs-exhaustive", True, "B <= 4, b <= 4, both budgets")
 
 
+def check_alignment_gain_table(seed: int = 1010) -> CheckResult:
+    """Every cell of both per-sign gain tables `==` the clip expression
+    evaluated in Python floats from y's +-1 walk, and the unused cells NaN, for
+    b in {1, 2, 7, 16, 64}, |y| in {0, 1, b - 1, B*b/2, B*b} at B = 4, and an
+    eps at which delta * d saturates at 1 (eps = 1/2, delta = 1)."""
+    name = "alignment/gain-table"
+    rng = np.random.default_rng(seed)
+    big_b, cells = 4, 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for b in (1, 2, 7, 16, 64):
+            for eps in (1 / 24, 0.5):
+                params = alignment.AlignmentParams(alpha=0.5, b=b, n=big_b * b, epsilon=eps)
+                for m in sorted({0, 1, b - 1, big_b * b // 2, big_b * b}):
+                    y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
+                    walk = [0]
+                    for bit in y.bits:
+                        walk.append(walk[-1] + (1 if bit else -1))
+                    tables = alignment._gain_tables(y, params)
+                    where = f"b={b}, eps={eps}, |y|={m}"
+                    for s in (1.0, -1.0):
+                        table = tables[s]
+                        if table.shape != (min(b, m) + 1, m + 1) or table.dtype != np.float64:
+                            return _result(name, False, f"shape {table.shape} {table.dtype} at {where}")
+                        for length in range(min(b, m) + 1):
+                            for p in range(m + 1):
+                                cell, end = table[length, p], p + length
+                                if end > m:
+                                    ok = math.isnan(cell)
+                                else:
+                                    ok = cell == min(max(params.delta * s * (walk[end] - walk[p]), 0.0), 1.0)
+                                if not ok:
+                                    return _result(name, False, f"[{length}, {p}] = {cell!r}, s={s} at {where}")
+                                cells += 1
+    return _result(name, True, f"{cells} cells checked, b <= 64")
+
+
 def check_alignment_certified_vs_full(cases: int = 300, seed: int = 1009) -> CheckResult:
     """Both alignment scores against the full sweep with required + 1 rows on
     binding budgets (b <= 16, eps up to 1/2), typical and arbitrary |y| and
@@ -451,6 +495,7 @@ FAST_CHECKS = (
     check_capacity_constants,
     check_capacity_sandwich,
     check_alignment_small_oracle,
+    check_alignment_gain_table,
     check_alignment_certified_vs_full,
     check_standardize_soundness,
 )

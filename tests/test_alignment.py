@@ -20,7 +20,11 @@ from subseqlab.alignment import (
     total_alignment_ind,
     total_alignment_std,
 )
-from subseqlab.verify import brute_total_alignment, check_alignment_certified_vs_full
+from subseqlab.verify import (
+    brute_total_alignment,
+    check_alignment_certified_vs_full,
+    check_alignment_gain_table,
+)
 
 NEG_INF = float("-inf")
 
@@ -60,6 +64,8 @@ def test_params_validation_and_derived():
         AlignmentParams(alpha=1.2, b=8, n=64)
     with pytest.raises(ValueError):
         AlignmentParams(alpha=0.5, b=0, n=64)
+    with pytest.raises(ValueError, match="multiple of b"):
+        AlignmentParams(alpha=0.5, b=16, n=330)
     with pytest.warns(UserWarning):
         AlignmentParams(alpha=0.1, b=4, n=16)
 
@@ -112,6 +118,24 @@ def test_dp_scores_pinned_at_twenty_blocks(eps):
     assert [law for law, _, _ in pairs] == ["planted", "null"] * 2
     assert tuple(total_alignment_ind(x, y, params) for _, x, y in pairs) == PINNED_SCORES[eps]
     assert tuple(total_alignment_std(x, y, params) for _, x, y in pairs) == PINNED_SCORES[eps]
+
+
+# Both scores of the first two trials at the benchmark's size (b = 64, B = 100,
+# so the gain tables have 65 rows); induced and standardized are equal here.
+PINNED_SCORES_B64 = (0.8594636720256393, 0.8345985830881056, 0.8847326650816959, 0.8150041453443794)
+
+
+def test_dp_scores_pinned_at_benchmark_size():
+    params = quiet_params(alpha=0.5, b=64, n=6400)
+    pairs = list(alignment.alignment_trials(0.5, 64, 6400, 2, Seed(1212)))
+    assert [law for law, _, _ in pairs] == ["planted", "null"] * 2
+    assert tuple(total_alignment_ind(x, y, params) for _, x, y in pairs) == PINNED_SCORES_B64
+    assert tuple(total_alignment_std(x, y, params) for _, x, y in pairs) == PINNED_SCORES_B64
+
+
+def test_gain_tables_equal_the_clip_expression():
+    result = check_alignment_gain_table()
+    assert result.passed, result.detail
 
 
 def test_certified_dp_equals_full_dp():

@@ -209,6 +209,12 @@ def test_alignment_experiment_trials_below_one_exits_2(trials):
     assert "trials" in out.stderr
 
 
+def test_alignment_experiment_n_not_a_multiple_of_b_exits_2():
+    out = run_cli(["alignment-experiment", "--alpha", "0.5", "--b", "16", "--n", "330", "--trials", "1"])
+    assert out.returncode == 2
+    assert "multiple of b" in out.stderr
+
+
 def test_float_formatting_12_significant_digits(tmp_path):
     p = tmp_path / "f.csv"
     run_cli(["figure2", "--alphas", "0.25", "--n", "200", "--samples", "2", "--out", str(p)])

@@ -27,6 +27,7 @@ from subseqlab.verify import (
     brute_count,
     brute_embeddings,
     check_rank_one_vs_generic,
+    check_skip_vector_injectivity,
 )
 
 NEG_INF = float("-inf")
@@ -194,19 +195,8 @@ def test_skip_vector_examples():
 
 
 def test_skip_vector_injective_and_invertible_exhaustive():
-    rng = np.random.default_rng(3)
-    for _ in range(60):
-        n = int(rng.integers(1, 11))
-        m = int(rng.integers(0, n + 1))
-        x = BitString(rng.integers(0, 2, n, dtype=np.uint8))
-        y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
-        seen = set()
-        for comb in brute_embeddings(x, y):
-            v = skip_vector_of(x, y, list(comb))
-            assert v.skips not in seen
-            seen.add(v.skips)
-            back = embedding_from_skips(x, y, v)
-            assert list(back) == list(comb)
+    result = check_skip_vector_injectivity(pairs=60, seed=3)
+    assert result.passed, result.detail
 
 
 def test_skip_vector_unrealizable():
