@@ -11,7 +11,6 @@ from .partition import (
     count_common_subsequences,
     count_embeddings_exact,
     greedy_embed,
-    lcs_length,
     log_count_embeddings,
     skip_vector_of,
 )

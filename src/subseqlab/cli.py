@@ -20,7 +20,7 @@ import os
 import subprocess
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__
 from .alignment import alignment_experiment
@@ -122,68 +122,63 @@ def cmd_count(args) -> int:
     return 0
 
 
-def cmd_figure1(args) -> int:
-    grid = _parse_grid(args.grid)
-    spec = CurveSpec(grid=grid, n=args.n, samples=args.samples, seed=Seed(args.seed))
-    config = RunConfig(
-        command="figure1", grid=spec.grid, n=spec.n, samples=spec.samples,
-        seed=args.seed, bits=args.bits, fmt=args.format,
-    )
-    rows_raw = curve(mutual_info_point, spec)
-    u = _unit_scale(args.bits)
-    header = ["p", "dgv_lower", "mc_capacity", "mc_stderr", "upper_annealed", "zero_fraction"]
-    rows = [
-        (r.p, r.lower_dgv * u, r.mc_capacity * u, r.mc_stderr * u, r.upper_annealed * u, r.zero_fraction)
-        for r in rows_raw
-    ]
-    _write_table(header, rows, config, args.out)
-    if args.svg:
-        unit = "bits" if args.bits else "nats"
-        chart = render_line_chart(
-            [
-                {"name": "greedy lower bound", "color": "green", "dashed": True,
-                 "points": [(r[0], r[1]) for r in rows]},
-                {"name": "simulated capacity", "color": "orange",
-                 "points": [(r[0], r[2]) for r in rows]},
-                {"name": "annealed upper bound", "color": "blue",
-                 "points": [(r[0], r[4]) for r in rows]},
-            ],
-            x_label="deletion probability p",
-            y_label=f"rate ({unit})",
-            title="Uniform-code deletion channel rate: bounds and simulation",
-        )
-        with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(chart)
-    return 0
+@dataclass(frozen=True)
+class Figure:
+    """What sets one figure command apart.  run(spec) returns the curve's rows,
+    each a grid value, the values scaled by --bits, and a zero fraction; it
+    looks the curve functions up in this module when it runs."""
+
+    run: Callable
+    header: tuple
+    series: tuple  # (name, color, dashed, column of the plotted value) per SVG line
+    x_label: str
+    y_label: str  # the unit is appended
+    title: str
+    check_grid: Callable = lambda grid: grid
 
 
-def cmd_figure2(args) -> int:
-    grid = check_alpha_grid(_parse_grid(args.alphas))
+FIGURES = {
+    "figure1": Figure(
+        run=lambda spec: curve(mutual_info_point, spec),
+        header=("p", "dgv_lower", "mc_capacity", "mc_stderr", "upper_annealed", "zero_fraction"),
+        series=(("greedy lower bound", "green", True, 1), ("simulated capacity", "orange", False, 2),
+                ("annealed upper bound", "blue", False, 4)),
+        x_label="deletion probability p",
+        y_label="rate",
+        title="Uniform-code deletion channel rate: bounds and simulation",
+    ),
+    "figure2": Figure(
+        run=lambda spec: polymer_comparison_curve(spec),
+        header=("alpha", "strict_weak_exact", "null_mc", "null_mc_stderr", "null_zero_fraction"),
+        series=(("Gamma polymer (exact)", "blue", False, 1), ("null model (simulated)", "orange", False, 2)),
+        x_label="density alpha",
+        y_label="free energy",
+        title="Exactly solvable polymer vs simulated null model",
+        check_grid=check_alpha_grid,
+    ),
+}
+
+
+def cmd_figure(args) -> int:
+    figure = FIGURES[args.command]
+    grid = figure.check_grid(_parse_grid(args.grid))
     spec = CurveSpec(grid=grid, n=args.n, samples=args.samples, seed=Seed(args.seed))
     config = RunConfig(
-        command="figure2", grid=spec.grid, n=spec.n, samples=spec.samples,
+        command=args.command, grid=spec.grid, n=spec.n, samples=spec.samples,
         seed=args.seed, bits=args.bits, fmt=args.format,
     )
-    rows_raw = polymer_comparison_curve(spec)
     u = _unit_scale(args.bits)
-    header = ["alpha", "strict_weak_exact", "null_mc", "null_mc_stderr", "null_zero_fraction"]
-    rows = [
-        (r.alpha, r.strict_weak_exact * u, r.null_mc * u, r.null_mc_stderr * u, r.null_zero_fraction)
-        for r in rows_raw
-    ]
-    _write_table(header, rows, config, args.out)
+    rows = [(r[0], *(v * u for v in r[1:-1]), r[-1]) for r in map(dataclasses.astuple, figure.run(spec))]
+    _write_table(figure.header, rows, config, args.out)
     if args.svg:
-        unit = "bits" if args.bits else "nats"
         chart = render_line_chart(
             [
-                {"name": "Gamma polymer (exact)", "color": "blue",
-                 "points": [(r[0], r[1]) for r in rows]},
-                {"name": "null model (simulated)", "color": "orange",
-                 "points": [(r[0], r[2]) for r in rows]},
+                {"name": name, "color": color, "dashed": dashed, "points": [(r[0], r[col]) for r in rows]}
+                for name, color, dashed, col in figure.series
             ],
-            x_label="density alpha",
-            y_label=f"free energy ({unit})",
-            title="Exactly solvable polymer vs simulated null model",
+            x_label=figure.x_label,
+            y_label=f"{figure.y_label} ({'bits' if args.bits else 'nats'})",
+            title=figure.title,
         )
         with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(chart)
@@ -245,13 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure1", help="capacity bounds and simulation over a p grid")
     p.add_argument("--grid", default=default_p_grid, help="comma-separated p values")
     common(p)
-    p.set_defaults(fn=cmd_figure1)
+    p.set_defaults(fn=cmd_figure)
 
     default_a_grid = ",".join(f"{0.05 * k:g}" for k in range(1, 11))
     p = sub.add_parser("figure2", help="solvable polymer vs null model over an alpha grid")
-    p.add_argument("--alphas", default=default_a_grid, help="comma-separated alpha values in (0, 1/2]")
+    p.add_argument("--alphas", dest="grid", default=default_a_grid, help="comma-separated alpha values in (0, 1/2]")
     common(p)
-    p.set_defaults(fn=cmd_figure2)
+    p.set_defaults(fn=cmd_figure)
 
     p = sub.add_parser("alignment-experiment", help="good-set frequencies under both laws")
     p.add_argument("--alpha", type=float, default=0.5)

@@ -16,12 +16,11 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .capacity import dgv_lower_bound, upper_bound_uniform_capacity
-from .annealed import LN2, null_annealed, strict_weak_value
+from .annealed import LN2, strict_weak_value
 from .core import Seed, all_bitstrings, embedded_length, sample_channel, sample_null, sample_planted
 from .partition import (
     IidBernoulliHalf,
@@ -102,17 +101,9 @@ def estimate_quenched(model: str, alpha: float, n: int, samples: int, seed: Seed
     return _sample_mean(environment, alpha, n, samples, seed, model)
 
 
-def estimate_polymer(
-    env_kind: str,
-    alpha: float,
-    n: int,
-    samples: int,
-    seed: Seed,
-    shape: float = 1.0,
-    scale: float = 0.5,
-) -> FreeEnergyEstimate:
+def estimate_polymer(env_kind: str, alpha: float, n: int, samples: int, seed: Seed) -> FreeEnergyEstimate:
     """Quenched estimate for an i.i.d. weight environment: "bernoulli-matching"
-    (fair 0/1 coins) or "strict-weak" (Gamma(shape, scale) weights)."""
+    (fair 0/1 coins) or "strict-weak" (Gamma(1, 1/2) weights)."""
     if n < 1 or samples < 1:
         raise ValueError("need n >= 1 and samples >= 1")
     if not 0 < alpha <= 1:
@@ -121,8 +112,7 @@ def estimate_polymer(
     if env_kind == BERNOULLI_MATCHING:
         return _sample_mean(lambda sub: IidBernoulliHalf(n, m, sub), alpha, n, samples, seed, env_kind)
     if env_kind == STRICT_WEAK:
-        return _sample_mean(lambda sub: IidGamma(n, m, shape, scale, sub),
-                            alpha, n, samples, seed, f"{env_kind}({shape},{scale})")
+        return _sample_mean(lambda sub: IidGamma(n, m, 1.0, 0.5, sub), alpha, n, samples, seed, f"{env_kind}(1.0,0.5)")
     raise ValueError(f"unknown environment kind {env_kind!r}")
 
 
@@ -239,43 +229,21 @@ def polymer_comparison_curve(spec: CurveSpec) -> list:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Both sides of E[log Z_planted] = (2^M / C(N, M)) E[Z_null log Z_null].
-
-    Exhaustive mode fills the two sides exactly; sampled mode reports the
-    planted estimate against the analytic null annealed value.
-    """
+    """Both sides of E[log Z_planted] = (2^M / C(N, M)) E[Z_null log Z_null]."""
 
     n: int
     m: int
-    mode: str
     planted_side: float
-    null_side: Optional[float] = None
-    planted_stderr: float = 0.0
-    null_annealed_value: Optional[float] = None
+    null_side: float
 
 
-def null_planted_gap_experiment(
-    alpha: float, n: int, samples: int, seed: Seed, exhaustive: Optional[bool] = None
-) -> GapReport:
-    """Verify (or estimate) the size-bias relation between the two laws.
-
-    Exhaustive mode (n <= 12) enumerates every (x, sigma*) for the planted side
-    and every (x, y) pair for the null side.  Sampled mode estimates the
-    planted mean at scale and reports it beside the null annealed value, whose
-    gap is the strict separation being probed.
-    """
-    m = embedded_length(alpha, n)
-    if exhaustive is None:
-        exhaustive = n <= 12
-    if not exhaustive:
-        est = estimate_quenched(PLANTED, alpha, n, samples, seed)
-        return GapReport(
-            n=n, m=m, mode="sampled",
-            planted_side=est.mean, planted_stderr=est.stderr,
-            null_annealed_value=null_annealed(alpha),
-        )
+def null_planted_gap_experiment(alpha: float, n: int) -> GapReport:
+    """Both sides of the size-bias relation between the two laws, exactly:
+    every (x, sigma*) for the planted side and every (x, y) pair for the null
+    side (n <= 12)."""
     if n > 12:
-        raise ValueError("exhaustive mode requires n <= 12")
+        raise ValueError("exhaustive enumeration requires n <= 12")
+    m = embedded_length(alpha, n)
     strings = list(all_bitstrings(n))
     # Planted side: average log Z over all (x, sigma*).
     planted_total = 0.0
@@ -294,4 +262,4 @@ def null_planted_gap_experiment(
                 null_total += z * math.log(z)
     null_mean = null_total / (len(strings) * (1 << m))
     null_side = (2**m / math.comb(n, m)) * null_mean
-    return GapReport(n=n, m=m, mode="exhaustive", planted_side=planted_side, null_side=null_side)
+    return GapReport(n=n, m=m, planted_side=planted_side, null_side=null_side)

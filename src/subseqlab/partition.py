@@ -378,18 +378,3 @@ def count_common_subsequences(x1: BitString, x2: BitString, m: int):
         prev = cur
     return prev[n2][m]
 
-
-def lcs_length(x1: BitString, x2: BitString) -> int:
-    """Length of the longest common subsequence (classic quadratic DP)."""
-    n2 = len(x2)
-    row = [0] * (n2 + 1)
-    for b1 in x1.bits:
-        diag = 0
-        for j in range(1, n2 + 1):
-            up = row[j]
-            if x2.bits[j - 1] == b1:
-                row[j] = diag + 1
-            elif row[j - 1] > row[j]:
-                row[j] = row[j - 1]
-            diag = up
-    return row[n2]

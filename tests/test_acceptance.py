@@ -30,48 +30,26 @@ import time
 
 import numpy as np
 
-from subseqlab.alignment import (
-    AlignmentParams,
-    alignment_experiment,
-    alignment_trials,
-    is_standardized_member,
-    sample_induced_partition,
-    standardize,
-    total_alignment_ind,
-    total_alignment_std,
-)
-from subseqlab.annealed import (
-    barZ_exact,
-    barZ_pairs_direct,
-    maximize_planted_objective,
-    null_annealed,
-    pair_mgf_closed_form,
-    pair_mgf_series,
-    planted_annealed,
-    planted_mean_partition,
-    planted_objective,
-    z_of_rho,
-)
-from subseqlab.capacity import (
-    beta_alpha,
-    log10_explicit_lower_bound,
-    skip_vector_lower_bound,
-)
-from subseqlab.core import BitString, Seed, embedded_length
-from subseqlab.montecarlo import (
-    NULL,
-    STRICT_WEAK,
-    CurveSpec,
-    curve,
-    estimate_polymer,
-    estimate_quenched,
-    mutual_info_point,
-    null_planted_gap_experiment,
-)
-from subseqlab.partition import count_embeddings_exact, greedy_embed
-from subseqlab.annealed import strict_weak_value
+from subseqlab.alignment import AlignmentParams, alignment_experiment, alignment_trials, total_alignment_ind
+from subseqlab.annealed import null_annealed, strict_weak_value
+from subseqlab.capacity import skip_vector_lower_bound
+from subseqlab.core import Seed, embedded_length
+from subseqlab.montecarlo import NULL, STRICT_WEAK, CurveSpec, curve, estimate_polymer, estimate_quenched, mutual_info_point
 from subseqlab.special import binary_entropy
-from subseqlab.verify import brute_count, brute_planted_mean, brute_total_alignment
+from subseqlab.verify import (
+    check_alignment_small_oracle,
+    check_capacity_constants,
+    check_closed_form_residuals,
+    check_closed_form_vs_series,
+    check_envelope_identity,
+    check_exact_dp_vs_bruteforce,
+    check_gap_product_formula,
+    check_greedy_equivalence,
+    check_nishimori_identity,
+    check_planted_mean_enumeration,
+    check_standardize_soundness,
+    check_variational_max,
+)
 
 LN2 = math.log(2.0)
 
@@ -86,70 +64,35 @@ def report(num, name, ok, detail=""):
 
 def test_criterion_01_dp_correctness():
     start = time.time()
-    rng = np.random.default_rng(20240101)
-    for _ in range(500):
-        n = int(rng.integers(0, 13))
-        m = int(rng.integers(0, n + 1)) if n else 0
-        x = BitString(rng.integers(0, 2, n, dtype=np.uint8))
-        y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
-        assert count_embeddings_exact(x, y) == brute_count(x, y)
+    result = check_exact_dp_vs_bruteforce(pairs=500, seed=20240101)
     elapsed = time.time() - start
-    report(1, "exact DP vs exhaustive enumeration", elapsed < 10, f"500 pairs in {elapsed:.2f}s")
+    report(1, "exact DP vs exhaustive enumeration", result.passed and elapsed < 10,
+           f"{result.detail} in {elapsed:.2f}s")
 
 
 def test_criterion_02_gap_product_formula():
-    for n in range(1, 9):
-        for m in range(1, n + 1):
-            assert barZ_exact(n, m) == barZ_pairs_direct(n, m)
-    worst = 0.0
-    for n in range(1, 7):
-        for m in range(1, n + 1):
-            enumerated = brute_planted_mean(n, m)
-            worst = max(worst, abs(float(enumerated - planted_mean_partition(n, m))))
-    report(2, "pair-sum formula vs direct and full enumeration", worst < 1e-12, f"worst {worst:.1e}")
+    direct, enumerated = check_gap_product_formula(), check_planted_mean_enumeration()
+    report(2, "pair-sum formula vs direct and full enumeration", direct.passed and enumerated.passed,
+           f"{direct.detail}; {enumerated.detail}")
 
 
 def test_criterion_03_closed_form_self_consistency():
     start = time.time()
-    worst = 0.0
-    worst_var = 0.0
-    for k in range(1, 20):
-        a = 0.05 * k
-        sol = planted_annealed(a)
-        c = 1.0 / a
-        worst = max(
-            worst,
-            abs(pair_mgf_closed_form(sol.x, sol.y) - 1.0),
-            abs(sol.x**2 * (1 - 2 * sol.y) - 2 * sol.x * (1 + sol.y) + 1.0),
-            abs(c * sol.x**2 + 3 * sol.x - (c - 1.0)),
-        )
-        _, numeric = maximize_planted_objective(a)
-        worst_var = max(worst_var, abs(numeric - sol.raw))
+    residuals, variational = check_closed_form_residuals(), check_variational_max()
     elapsed = time.time() - start
-    ok = worst < 1e-10 and worst_var < 1e-7 and elapsed < 1.0
+    ok = residuals.passed and variational.passed and elapsed < 1.0
     report(3, "closed-form residuals + variational maximum",
-           ok, f"resid {worst:.1e}, var gap {worst_var:.1e}, {elapsed:.3f}s")
+           ok, f"{residuals.detail}; {variational.detail}; {elapsed:.3f}s")
 
 
 def test_criterion_04_closed_form_vs_series():
-    pts = [(x, y) for x in (0.02, 0.05, 0.1, 0.15, 0.2) for y in (0.1, 0.4, 0.8, 1.5)]
-    assert len(pts) == 20
-    worst = 0.0
-    for x, y in pts:
-        cf = pair_mgf_closed_form(x, y)
-        worst = max(worst, abs(cf - pair_mgf_series(x, y, tol=1e-13)) / cf)
-    report(4, "closed form vs series on 20-point grid", worst < 1e-9, f"worst rel {worst:.1e}")
+    result = check_closed_form_vs_series()
+    report(4, "closed form vs series on 20-point grid", result.passed, result.detail)
 
 
 def test_criterion_05_envelope_identity():
-    h = 1e-6
-    worst = 0.0
-    for a in (0.3, 0.5, 0.7):
-        for k in range(1, 21):
-            rho = 0.04 + 0.9 * k / 21.0
-            fd = (planted_objective(a, rho + h) - planted_objective(a, rho - h)) / (2 * h)
-            worst = max(worst, abs(fd - a * math.log(z_of_rho(a, rho))))
-    report(5, "envelope derivative identity", worst < 1e-5, f"worst {worst:.1e}")
+    result = check_envelope_identity()
+    report(5, "envelope derivative identity", result.passed, result.detail)
 
 
 def test_criterion_06_strict_weak_cross_check():
@@ -226,55 +169,20 @@ def test_criterion_08_null_band():
 
 
 def test_criterion_09_nishimori_identity():
-    worst = 0.0
-    for n, m in ((4, 2), (6, 3), (8, 3)):
-        rep = null_planted_gap_experiment(m / n, n, 1, Seed(0), exhaustive=True)
-        worst = max(worst, abs(rep.planted_side - rep.null_side))
-    report(9, "size-bias identity, exhaustive", worst < 1e-12, f"worst {worst:.1e}")
+    result = check_nishimori_identity()
+    report(9, "size-bias identity, exhaustive", result.passed, result.detail)
 
 
 def test_criterion_10_greedy_equivalence():
-    rng = np.random.default_rng(20241010)
-    for _ in range(10_000):
-        m = int(rng.integers(0, 31))
-        x = BitString(rng.integers(0, 2, 30, dtype=np.uint8))
-        y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
-        assert (greedy_embed(x, y) is None) == (count_embeddings_exact(x, y) == 0)
-    report(10, "greedy failure iff zero count", True, "10^4 pairs at n=30")
+    result = check_greedy_equivalence(pairs=10_000, seed=20241010)
+    report(10, "greedy failure iff zero count", result.passed, result.detail)
 
 
 def test_criterion_11_alignment_oracles():
-    import warnings
-
-    rng = np.random.default_rng(20241111)
-    cases = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for B in (1, 2, 3, 4):
-            for b in (2, 3, 4, 5):
-                for alpha, eps in ((0.5, 1 / 24), (0.5, 0.4), (0.3, 0.4)):
-                    params = AlignmentParams(alpha=alpha, b=b, n=B * b, epsilon=eps)
-                    for _ in range(3):
-                        x = BitString(rng.integers(0, 2, B * b, dtype=np.uint8))
-                        m = int(rng.integers(0, B * b + 1))
-                        y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
-                        for std in (False, True):
-                            best = brute_total_alignment(x, y, params, std)
-                            dp = (total_alignment_std if std else total_alignment_ind)(x, y, params)
-                            assert dp == best or abs(dp - best) < 1e-12
-                            cases += 1
-        # standardization soundness over 10^3 random induced partitions
-        for eps, reps in ((1 / 24, 500), (0.25, 500)):
-            params = AlignmentParams(alpha=0.5, b=24, n=24 * 20, epsilon=eps)
-            m = 240
-            y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
-            for _ in range(reps):
-                part = sample_induced_partition(m, params, rng)
-                out = standardize(y, part, params)
-                assert is_standardized_member(out, m, params)
-                assert sum(out.block_lengths) == m
-    report(11, "alignment DP oracles + standardization soundness", True,
-           f"{cases} DP cases, 1000 standardizations")
+    dp = check_alignment_small_oracle(seed=20241111)
+    standardized = check_standardize_soundness(seed=20241111)
+    report(11, "alignment DP oracles + standardization soundness", dp.passed and standardized.passed,
+           f"{dp.detail}; {standardized.detail}")
 
 
 def test_criterion_12_alignment_separation():
@@ -305,10 +213,5 @@ def test_criterion_12_alignment_separation():
 
 
 def test_criterion_13_explicit_bound_plumbing():
-    l10 = log10_explicit_lower_bound(0.5)
-    beta = beta_alpha(0.5)
-    # erf-based oracle, 30-digit reference 0.341344746068542948...
-    beta_ok = abs(beta - 0.3413447460685429) < 1e-5
-    bound_ok = abs(l10 + 1860) <= 1.0
-    report(13, "explicit bound in log space", beta_ok and bound_ok,
-           f"log10 bound {l10:.2f}, beta(0.5) {beta:.6f}")
+    result = check_capacity_constants()
+    report(13, "explicit bound in log space", result.passed, result.detail)

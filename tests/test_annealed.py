@@ -9,9 +9,7 @@ from subseqlab.annealed import (
     DivergentSeriesError,
     LN2,
     barZ_exact,
-    barZ_pairs_direct,
     discriminant,
-    maximize_planted_objective,
     null_annealed,
     pair_mgf_closed_form,
     pair_mgf_series,
@@ -22,11 +20,17 @@ from subseqlab.annealed import (
     strict_weak_argmin,
     strict_weak_value,
     x_of_rho,
-    y_of_rho,
     z_of_rho,
 )
 from subseqlab.special import EULER_GAMMA, binary_entropy, digamma
-from subseqlab.verify import brute_planted_mean
+from subseqlab.verify import (
+    check_closed_form_residuals,
+    check_closed_form_vs_series,
+    check_envelope_identity,
+    check_gap_product_formula,
+    check_planted_mean_enumeration,
+    check_variational_max,
+)
 
 ALPHAS = [0.05 * k for k in range(1, 20)]
 
@@ -42,13 +46,8 @@ def test_null_annealed_values():
 
 
 def test_pair_mgf_closed_form_against_series_grid():
-    pts = [(x, y) for x in (0.02, 0.05, 0.1, 0.15, 0.2) for y in (0.1, 0.4, 0.8, 1.5)]
-    assert len(pts) == 20
-    for x, y in pts:
-        assert discriminant(x, y) > 0
-        cf = pair_mgf_closed_form(x, y)
-        sr = pair_mgf_series(x, y, tol=1e-13)
-        assert abs(cf - sr) / cf < 1e-9
+    result = check_closed_form_vs_series()
+    assert result.passed, result.detail
 
 
 def test_pair_mgf_series_small_point():
@@ -116,12 +115,8 @@ def test_phi_objective_matches_raw_at_rho_star():
 
 
 def test_envelope_derivative_identity():
-    h = 1e-6
-    for a in (0.3, 0.5, 0.7):
-        for k in range(1, 21):
-            rho = 0.04 + 0.9 * k / 21.0
-            fd = (planted_objective(a, rho + h) - planted_objective(a, rho - h)) / (2 * h)
-            assert abs(fd - a * math.log(z_of_rho(a, rho))) < 1e-5
+    result = check_envelope_identity()
+    assert result.passed, result.detail
 
 
 def test_objective_unimodal_shape():
@@ -147,21 +142,13 @@ def test_planted_annealed_frozen_values():
 
 
 def test_planted_annealed_residuals_across_alphas():
-    for a in ALPHAS:
-        sol = planted_annealed(a)
-        c = 1.0 / a
-        assert abs(pair_mgf_closed_form(sol.x, sol.y) - 1.0) < 1e-10
-        assert abs(sol.x**2 * (1 - 2 * sol.y) - 2 * sol.x * (1 + sol.y) + 1) < 1e-10
-        assert abs(c * sol.x**2 + 3 * sol.x - (c - 1)) < 1e-10
-        assert abs(x_of_rho(a, sol.rho_star) - sol.x) < 1e-10
-        assert abs(y_of_rho(a, sol.rho_star) - sol.y) < 1e-10
-        assert abs(sol.delta - math.sqrt(9 * a * a - 4 * a + 4)) < 1e-14
+    result = check_closed_form_residuals()
+    assert result.passed, result.detail
 
 
 def test_planted_annealed_matches_numeric_maximum():
-    for a in ALPHAS:
-        _, numeric = maximize_planted_objective(a)
-        assert abs(numeric - planted_annealed(a).raw) < 1e-7
+    result = check_variational_max()
+    assert result.passed, result.detail
 
 
 def test_jensen_ordering():
@@ -175,9 +162,8 @@ def test_barZ_identity_diagonal():
 
 
 def test_barZ_matches_direct_double_sum():
-    for n in range(1, 9):
-        for m in range(1, n + 1):
-            assert barZ_exact(n, m) == barZ_pairs_direct(n, m)
+    result = check_gap_product_formula()
+    assert result.passed, result.detail
 
 
 def test_barZ_range_errors():
@@ -190,9 +176,8 @@ def test_barZ_range_errors():
 
 
 def test_planted_mean_matches_full_enumeration():
-    for n in range(1, 7):
-        for m in range(1, n + 1):
-            assert planted_mean_partition(n, m) == brute_planted_mean(n, m)
+    result = check_planted_mean_enumeration()
+    assert result.passed, result.detail
 
 
 def test_finite_size_annealed_trend():

@@ -13,6 +13,7 @@ from subseqlab.capacity import (
     skip_vector_lower_bound,
     upper_bound_uniform_capacity,
 )
+from subseqlab.verify import check_capacity_sandwich
 
 
 def test_upper_bound_endpoints_and_values():
@@ -78,13 +79,8 @@ def test_explicit_lower_bound_log_space():
 
 
 def test_bound_sandwich_grid():
-    for k in range(1, 49):
-        p = 0.02 * k
-        lower = dgv_lower_bound(p)
-        upper = upper_bound_uniform_capacity(p)
-        assert lower <= upper + 1e-12
-        assert math.exp(log_explicit_lower_bound(p)) <= upper
-        assert upper > 0
+    result = check_capacity_sandwich()
+    assert result.passed, result.detail
 
 
 def test_all_finite_across_extreme_alphas():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import inspect
 import json
 import math
 import os
@@ -260,3 +261,15 @@ def test_verify_detects_corrupted_constant(monkeypatch, capsys):
     monkeypatch.setattr(subseqlab.annealed, "rho_star", broken)
     results = subseqlab.verify.run("fast")
     assert any(not r.passed for r in results)
+
+
+def test_every_check_is_registered_once():
+    # Tests call checks directly, so a check dropped from FULL_CHECKS would
+    # still pass the suite while `subseqlab verify` quietly stopped running it.
+    verify = subseqlab.verify
+    checks = [fn for name, fn in vars(verify).items() if name.startswith("check_")]
+    assert sorted(verify.FULL_CHECKS, key=id) == sorted(checks, key=id)
+    assert verify.FULL_CHECKS[:len(verify.FAST_CHECKS)] == verify.FAST_CHECKS
+    names = [set(re.findall(r'"([a-z]+/[\w.-]+)"', inspect.getsource(fn))) for fn in checks]
+    assert all(len(found) == 1 for found in names)
+    assert len(set.union(*names)) == len(checks)

@@ -3,10 +3,9 @@ import warnings
 
 import pytest
 
-from subseqlab.annealed import null_annealed, planted_annealed
+from subseqlab.annealed import null_annealed
 from subseqlab.core import Seed
 from subseqlab.montecarlo import (
-    BERNOULLI_MATCHING,
     CurveSpec,
     NULL,
     PLANTED,
@@ -18,6 +17,12 @@ from subseqlab.montecarlo import (
     mutual_info_point,
     null_planted_gap_experiment,
     polymer_comparison_curve,
+)
+from subseqlab.verify import (
+    check_mc_bernoulli_matching,
+    check_mc_planted_band,
+    check_mc_strict_weak_band,
+    check_nishimori_identity,
 )
 
 
@@ -66,20 +71,13 @@ def test_polymer_degenerate_single_cell():
 
 
 def test_bernoulli_matching_positivity_threshold():
-    below = estimate_polymer(BERNOULLI_MATCHING, 0.45, 1500, 4, Seed(7))
-    assert below.mean > 0
-    assert below.zero_fraction == 0.0
-    above = estimate_polymer(BERNOULLI_MATCHING, 0.6, 1500, 4, Seed(8))
-    assert above.zero_fraction == 1.0
-    assert above.mean == 0.0
+    result = check_mc_bernoulli_matching()
+    assert result.passed, result.detail
 
 
 def test_strict_weak_against_exact_small_scale():
-    from subseqlab.annealed import strict_weak_value
-
-    est = estimate_polymer(STRICT_WEAK, 0.3, 1500, 8, Seed(9))
-    exact = strict_weak_value(1.0, 0.5, 0.3)
-    assert abs(est.mean - exact) / exact < 0.07
+    result = check_mc_strict_weak_band()
+    assert result.passed, result.detail
 
 
 def test_curve_spec_validation():
@@ -120,35 +118,31 @@ def test_polymer_comparison_rows():
 
 
 def test_gap_experiment_exhaustive_identity():
-    for n, m in ((4, 2), (6, 3)):
-        rep = null_planted_gap_experiment(m / n, n, 1, Seed(0), exhaustive=True)
-        assert rep.mode == "exhaustive"
-        assert abs(rep.planted_side - rep.null_side) < 1e-12
+    result = check_nishimori_identity()
+    assert result.passed, result.detail
 
 
 def test_gap_experiment_m_zero():
-    rep = null_planted_gap_experiment(0.0, 6, 1, Seed(0), exhaustive=True)
+    rep = null_planted_gap_experiment(0.0, 6)
     assert rep.planted_side == 0.0
     assert rep.null_side == 0.0
 
 
 def test_gap_experiment_exact_m():
-    rep = null_planted_gap_experiment(1 - 0.9, 10, 1, Seed(0), exhaustive=True)
+    rep = null_planted_gap_experiment(1 - 0.9, 10)
     assert rep.m == 1
 
 
 def test_gap_experiment_out_of_range():
     with pytest.raises(ValueError):
-        null_planted_gap_experiment(0.5, 14, 1, Seed(0), exhaustive=True)
+        null_planted_gap_experiment(0.5, 14)
 
 
 def test_gap_experiment_sampled_reports_gap():
     # The planted-vs-null-annealed gap at alpha = 0.3 is a few 1e-3 nats, so
     # the 3-sigma witness needs the full n = 10,000 scale.
-    rep = null_planted_gap_experiment(0.3, 10_000, 8, Seed(21), exhaustive=False)
-    assert rep.mode == "sampled"
-    assert rep.null_annealed_value == null_annealed(0.3)
-    assert rep.planted_side > rep.null_annealed_value + 3 * rep.planted_stderr
+    est = estimate_quenched(PLANTED, 0.3, 10_000, 8, Seed(21))
+    assert est.mean > null_annealed(0.3) + 3 * est.stderr
 
 
 def test_self_averaging_variance_shrinks_with_n():
@@ -163,9 +157,8 @@ def test_self_averaging_variance_shrinks_with_n():
 
 
 def test_planted_mean_between_bounds_moderate_n():
-    est = estimate_quenched(PLANTED, 0.5, 3000, 8, Seed(50))
-    assert est.mean > null_annealed(0.5) + 3 * est.stderr
-    assert est.mean < planted_annealed(0.5).value - 3 * est.stderr
+    result = check_mc_planted_band()
+    assert result.passed, result.detail
 
 
 def test_self_averaging_stderr_bound_at_scale():

@@ -18,14 +18,15 @@ from subseqlab.partition import (
     count_embeddings_exact,
     embedding_from_skips,
     greedy_embed,
-    lcs_length,
     log_count_embeddings,
     skip_vector_of,
 )
 from subseqlab.verify import (
-    brute_common_subsequences,
-    brute_count,
     brute_embeddings,
+    check_common_subsequence_oracle,
+    check_exact_dp_vs_bruteforce,
+    check_greedy_equivalence,
+    check_logdp_vs_exact,
     check_rank_one_vs_generic,
     check_skip_vector_injectivity,
 )
@@ -46,13 +47,8 @@ def test_count_trivial_cases():
 
 
 def test_count_vs_bruteforce_random():
-    rng = np.random.default_rng(42)
-    for _ in range(400):
-        n = int(rng.integers(0, 13))
-        m = int(rng.integers(0, n + 1)) if n else 0
-        x = BitString(rng.integers(0, 2, n, dtype=np.uint8))
-        y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
-        assert count_embeddings_exact(x, y) == brute_count(x, y)
+    result = check_exact_dp_vs_bruteforce(pairs=400, seed=42)
+    assert result.passed, result.detail
 
 
 @settings(max_examples=150, deadline=None)
@@ -66,18 +62,8 @@ def test_count_monotone_under_append(xbits, ybits, extra):
 
 
 def test_log_dp_matches_exact_when_representable():
-    rng = np.random.default_rng(7)
-    for _ in range(150):
-        n = int(rng.integers(1, 21))
-        m = int(rng.integers(0, n + 1))
-        x = BitString(rng.integers(0, 2, n, dtype=np.uint8))
-        y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
-        exact = count_embeddings_exact(x, y)
-        logz = log_count_embeddings(RankOneIndicator(x, y))
-        if exact == 0:
-            assert logz == NEG_INF
-        elif exact < 10**15:
-            assert abs(math.exp(logz) - exact) / exact < 1e-10
+    result = check_logdp_vs_exact(pairs=150, seed=7)
+    assert result.passed, result.detail
 
 
 def test_log_dp_zero_environment():
@@ -122,11 +108,6 @@ def test_log_dp_rejects_weight_row_of_wrong_length():
     for width in (2, 4):
         with pytest.raises(ValueError):
             table.advance(np.zeros(width))
-
-
-def test_rank_one_kernel_equals_generic_route():
-    result = check_rank_one_vs_generic()
-    assert result.passed, result.detail
 
 
 def test_corridor_is_min_and_max_over_all_embeddings():
@@ -175,13 +156,8 @@ def test_greedy_examples():
 
 
 def test_greedy_absent_iff_zero_count():
-    rng = np.random.default_rng(11)
-    for _ in range(3000):
-        n = 30
-        m = int(rng.integers(0, 19))
-        x = BitString(rng.integers(0, 2, n, dtype=np.uint8))
-        y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
-        assert (greedy_embed(x, y) is None) == (count_embeddings_exact(x, y) == 0)
+    result = check_greedy_equivalence(pairs=3000, seed=11)
+    assert result.passed, result.detail
 
 
 def test_skip_vector_examples():
@@ -235,30 +211,8 @@ def test_common_subsequences_specializes_to_embedding_count():
 
 
 def test_common_subsequences_vs_bruteforce_pairs():
-    rng = np.random.default_rng(23)
-    for _ in range(40):
-        n1 = int(rng.integers(0, 9))
-        n2 = int(rng.integers(0, 9))
-        x1 = BitString(rng.integers(0, 2, n1, dtype=np.uint8))
-        x2 = BitString(rng.integers(0, 2, n2, dtype=np.uint8))
-        for m in range(min(n1, n2) + 1):
-            assert count_common_subsequences(x1, x2, m) == brute_common_subsequences(x1, x2, m)
-
-
-def test_lcs_examples_and_characterization():
-    assert lcs_length(BitString.from_text("1010"), BitString.from_text("1010")) == 4
-    assert lcs_length(BitString.zeros(5), BitString.ones(5)) == 0
-    rng = np.random.default_rng(29)
-    for _ in range(60):
-        n1 = int(rng.integers(0, 11))
-        n2 = int(rng.integers(0, 11))
-        x1 = BitString(rng.integers(0, 2, n1, dtype=np.uint8))
-        x2 = BitString(rng.integers(0, 2, n2, dtype=np.uint8))
-        by_counts = max(
-            (m for m in range(min(n1, n2) + 1) if count_common_subsequences(x1, x2, m) > 0),
-            default=0,
-        )
-        assert lcs_length(x1, x2) == by_counts
+    result = check_common_subsequence_oracle(seed=23)
+    assert result.passed, result.detail
 
 
 def test_log_dp_rank_one_minus_inf_iff_greedy_absent():
