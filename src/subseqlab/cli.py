@@ -124,11 +124,11 @@ def cmd_count(args) -> int:
 
 @dataclass(frozen=True)
 class Figure:
-    """What sets one figure command apart.  run(spec) returns the curve's rows,
-    each a grid value, the values scaled by --bits, and a zero fraction; it
-    looks the curve functions up in this module when it runs."""
+    """What sets one figure command apart.  rows(spec, u) returns the table's
+    rows, in header order, with the rates scaled by the unit factor u; it looks
+    the curve functions up in this module when it runs."""
 
-    run: Callable
+    rows: Callable
     header: tuple
     series: tuple  # (name, color, dashed, column of the plotted value) per SVG line
     x_label: str
@@ -139,7 +139,10 @@ class Figure:
 
 FIGURES = {
     "figure1": Figure(
-        run=lambda spec: curve(mutual_info_point, spec),
+        rows=lambda spec, u: [
+            (r.p, r.lower_dgv * u, r.mc_capacity * u, r.mc_stderr * u, r.upper_annealed * u, r.zero_fraction)
+            for r in curve(mutual_info_point, spec)
+        ],
         header=("p", "dgv_lower", "mc_capacity", "mc_stderr", "upper_annealed", "zero_fraction"),
         series=(("greedy lower bound", "green", True, 1), ("simulated capacity", "orange", False, 2),
                 ("annealed upper bound", "blue", False, 4)),
@@ -148,7 +151,10 @@ FIGURES = {
         title="Uniform-code deletion channel rate: bounds and simulation",
     ),
     "figure2": Figure(
-        run=lambda spec: polymer_comparison_curve(spec),
+        rows=lambda spec, u: [
+            (r.alpha, r.strict_weak_exact * u, r.null_mc * u, r.null_mc_stderr * u, r.null_zero_fraction)
+            for r in polymer_comparison_curve(spec)
+        ],
         header=("alpha", "strict_weak_exact", "null_mc", "null_mc_stderr", "null_zero_fraction"),
         series=(("Gamma polymer (exact)", "blue", False, 1), ("null model (simulated)", "orange", False, 2)),
         x_label="density alpha",
@@ -167,8 +173,7 @@ def cmd_figure(args) -> int:
         command=args.command, grid=spec.grid, n=spec.n, samples=spec.samples,
         seed=args.seed, bits=args.bits, fmt=args.format,
     )
-    u = _unit_scale(args.bits)
-    rows = [(r[0], *(v * u for v in r[1:-1]), r[-1]) for r in map(dataclasses.astuple, figure.run(spec))]
+    rows = figure.rows(spec, _unit_scale(args.bits))
     _write_table(figure.header, rows, config, args.out)
     if args.svg:
         chart = render_line_chart(

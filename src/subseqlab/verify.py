@@ -95,6 +95,12 @@ def _result(name, passed, detail=""):
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
+def _worst(errors) -> float:
+    """The largest error, NaN if any is NaN, so `_worst(errors) < tol` fails
+    on a NaN; the builtin max drops a NaN that is not in first position."""
+    return float(np.max(errors, initial=0.0))
+
+
 def check_exact_dp_vs_bruteforce(pairs: int = 120, seed: int = 1001) -> CheckResult:
     rng = np.random.default_rng(seed)
     for _ in range(pairs):
@@ -109,7 +115,7 @@ def check_exact_dp_vs_bruteforce(pairs: int = 120, seed: int = 1001) -> CheckRes
 
 def check_logdp_vs_exact(pairs: int = 60, seed: int = 1002) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors = []
     for _ in range(pairs):
         n = int(rng.integers(1, 21))
         m = int(rng.integers(0, n + 1))
@@ -121,8 +127,8 @@ def check_logdp_vs_exact(pairs: int = 60, seed: int = 1002) -> CheckResult:
             if logz != float("-inf"):
                 return _result("partition/logdp-vs-exact", False, "zero count not -inf")
             continue
-        rel = abs(math.exp(logz) - exact) / exact
-        worst = max(worst, rel)
+        errors.append(abs(math.exp(logz) - exact) / exact)
+    worst = _worst(errors)
     return _result("partition/logdp-vs-exact", worst < 1e-10, f"worst rel err {worst:.2e}")
 
 
@@ -225,12 +231,12 @@ def check_common_subsequence_oracle(seed: int = 1005) -> CheckResult:
 def check_closed_form_residuals() -> CheckResult:
     """The closed-form planted solution solves its defining equations to 1e-10,
     and delta equals sqrt(9a^2 - 4a + 4) to 1e-14, at alpha = 0.05k."""
-    worst = worst_delta = 0.0
+    residuals, delta_errors = [], []
     for k in range(1, 20):
         a = 0.05 * k
         sol = annealed.planted_annealed(a)
         c = 1.0 / a
-        residuals = (
+        residuals += (
             abs(annealed.pair_mgf_closed_form(sol.x, sol.y) - 1.0),
             abs(sol.x**2 * (1 - 2 * sol.y) - 2 * sol.x * (1 + sol.y) + 1.0),
             abs(c * sol.x**2 + 3 * sol.x - (c - 1.0)),
@@ -238,8 +244,8 @@ def check_closed_form_residuals() -> CheckResult:
             abs(annealed.y_of_rho(a, sol.rho_star) - sol.y),
             abs(annealed.z_of_rho(a, sol.rho_star) - 1.0),
         )
-        worst = max(worst, max(residuals))
-        worst_delta = max(worst_delta, abs(sol.delta - math.sqrt(9 * a * a - 4 * a + 4)))
+        delta_errors.append(abs(sol.delta - math.sqrt(9 * a * a - 4 * a + 4)))
+    worst, worst_delta = _worst(residuals), _worst(delta_errors)
     ok = worst < 1e-10 and worst_delta < 1e-14
     return _result("annealed/closed-form-residuals", ok, f"19 alphas, worst {worst:.2e}, delta {worst_delta:.1e}")
 
@@ -247,41 +253,41 @@ def check_closed_form_residuals() -> CheckResult:
 def check_closed_form_vs_series() -> CheckResult:
     """All 20 grid points, (0.2, 1.5) with D = 0.01 included; a point with
     D <= 0 raises DivergentSeriesError."""
-    worst = 0.0
+    errors = []
     for x in (0.02, 0.05, 0.1, 0.15, 0.2):
         for y in (0.1, 0.4, 0.8, 1.5):
             cf = annealed.pair_mgf_closed_form(x, y)
-            sr = annealed.pair_mgf_series(x, y, tol=1e-13)
-            worst = max(worst, abs(cf - sr) / cf)
+            errors.append(abs(cf - annealed.pair_mgf_series(x, y, tol=1e-13)) / cf)
+    worst = _worst(errors)
     return _result("annealed/closed-form-vs-series", worst < 1e-9, f"20 points, worst rel err {worst:.2e}")
 
 
 def check_envelope_identity() -> CheckResult:
-    worst = 0.0
+    errors = []
     h = 1e-6
     for a in (0.3, 0.5, 0.7):
         for k in range(1, 21):
             rho = 0.04 + 0.9 * k / 21.0
             fd = (annealed.planted_objective(a, rho + h) - annealed.planted_objective(a, rho - h)) / (2 * h)
-            exact = a * math.log(annealed.z_of_rho(a, rho))
-            worst = max(worst, abs(fd - exact))
+            errors.append(abs(fd - a * math.log(annealed.z_of_rho(a, rho))))
+    worst = _worst(errors)
     return _result("annealed/envelope-identity", worst < 1e-5, f"worst |fd - a ln z| = {worst:.2e}")
 
 
 def check_variational_max() -> CheckResult:
-    worst = 0.0
+    errors = []
     for k in range(1, 20):
         a = 0.05 * k
         _, numeric = annealed.maximize_planted_objective(a)
-        worst = max(worst, abs(numeric - annealed.planted_annealed(a).raw))
+        errors.append(abs(numeric - annealed.planted_annealed(a).raw))
+    worst = _worst(errors)
     return _result("annealed/variational-maximum", worst < 1e-7, f"19 alphas, worst gap {worst:.2e}")
 
 
 def check_digamma() -> CheckResult:
     err1 = abs(digamma(1.0) + EULER_GAMMA)
-    worst = err1
-    for x in (0.1, 0.7, 1.3, 2.5, 5.0, 9.7, 31.0):
-        worst = max(worst, abs(digamma(x + 1.0) - digamma(x) - 1.0 / x))
+    steps = [abs(digamma(x + 1.0) - digamma(x) - 1.0 / x) for x in (0.1, 0.7, 1.3, 2.5, 5.0, 9.7, 31.0)]
+    worst = _worst([err1] + steps)
     return _result("annealed/digamma", worst < 1e-10, f"psi(1)+gamma={err1:.1e}, worst residual {worst:.1e}")
 
 
@@ -302,10 +308,11 @@ def check_planted_mean_enumeration() -> CheckResult:
 
 
 def check_nishimori_identity() -> CheckResult:
-    worst = 0.0
+    errors = []
     for n, m in ((4, 2), (6, 3), (8, 3)):
         rep = montecarlo.null_planted_gap_experiment(m / n, n)
-        worst = max(worst, abs(rep.planted_side - rep.null_side))
+        errors.append(abs(rep.planted_side - rep.null_side))
+    worst = _worst(errors)
     return _result("montecarlo/nishimori-identity", worst < 1e-12, f"(n, m) = (4, 2), (6, 3), (8, 3), worst gap {worst:.2e}")
 
 

@@ -120,9 +120,20 @@ def test_dp_scores_pinned_at_benchmark_size():
     assert tuple(total_alignment_std(x, y, params) for _, x, y in pairs) == PINNED_SCORES_B64
 
 
-def test_gain_tables_equal_the_clip_expression():
+def test_gain_tables_equal_the_clip_expression(monkeypatch):
+    # The check compares with `==`: one cell moved by one ulp at b = 64 and
+    # |y| = B*b must fail it.
+    real = alignment._gain_tables
+
+    def nudged(y, params):
+        tables = real(y, params)
+        if params.b == 64 and len(y) == params.n:
+            tables[-1.0][64, 0] = np.nextafter(tables[-1.0][64, 0], 2.0)
+        return tables
+
+    monkeypatch.setattr(alignment, "_gain_tables", nudged)
     result = check_alignment_gain_table()
-    assert result.passed, result.detail
+    assert not result.passed and "b=64" in result.detail
 
 
 def test_full_dp_decides_when_the_certificate_fails(monkeypatch):

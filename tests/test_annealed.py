@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subseqlab import annealed
 from subseqlab.annealed import (
     DivergentSeriesError,
     LN2,
@@ -20,6 +22,7 @@ from subseqlab.annealed import (
     strict_weak_argmin,
     strict_weak_value,
     x_of_rho,
+    y_of_rho,
     z_of_rho,
 )
 from subseqlab.special import EULER_GAMMA, binary_entropy, digamma
@@ -45,9 +48,17 @@ def test_null_annealed_values():
             null_annealed(bad)
 
 
-def test_pair_mgf_closed_form_against_series_grid():
-    result = check_closed_form_vs_series()
-    assert result.passed, result.detail
+def test_pair_mgf_closed_form_against_series_grid(monkeypatch):
+    # The grid check must see a 1e-8 error at (0.2, 1.5), the point nearest
+    # the divergence boundary (D = 0.01), and a NaN from the series at a
+    # point other than the first.
+    with monkeypatch.context() as mp:
+        mp.setattr(annealed, "pair_mgf_closed_form",
+                   lambda x, y: pair_mgf_closed_form(x, y) * (1 + 1e-8 * (discriminant(x, y) < 0.05)))
+        assert not check_closed_form_vs_series().passed
+    monkeypatch.setattr(annealed, "pair_mgf_series",
+                        lambda x, y, tol: math.nan if x > 0.1 else pair_mgf_series(x, y, tol=tol))
+    assert not check_closed_form_vs_series().passed
 
 
 def test_pair_mgf_series_small_point():
@@ -114,9 +125,11 @@ def test_phi_objective_matches_raw_at_rho_star():
         assert abs(planted_objective(a, sol.rho_star) - sol.raw) < 1e-8
 
 
-def test_envelope_derivative_identity():
-    result = check_envelope_identity()
-    assert result.passed, result.detail
+def test_envelope_derivative_identity(monkeypatch):
+    # A NaN objective after the first alpha must fail the check.
+    monkeypatch.setattr(annealed, "planted_objective",
+                        lambda a, rho: math.nan if a > 0.3 else planted_objective(a, rho))
+    assert not check_envelope_identity().passed
 
 
 def test_objective_unimodal_shape():
@@ -141,14 +154,18 @@ def test_planted_annealed_frozen_values():
     assert abs(sol.rho_star - 0.1576707807867546) < 1e-12
 
 
-def test_planted_annealed_residuals_across_alphas():
-    result = check_closed_form_residuals()
-    assert result.passed, result.detail
+def test_planted_annealed_residuals_across_alphas(monkeypatch):
+    # A NaN residual after the first must fail the check.
+    monkeypatch.setattr(annealed, "y_of_rho", lambda a, rho: math.nan if a > 0.5 else y_of_rho(a, rho))
+    assert not check_closed_form_residuals().passed
 
 
-def test_planted_annealed_matches_numeric_maximum():
-    result = check_variational_max()
-    assert result.passed, result.detail
+def test_planted_annealed_matches_numeric_maximum(monkeypatch):
+    # A NaN numeric maximum after the first alpha must fail the check.
+    real = annealed.maximize_planted_objective
+    monkeypatch.setattr(annealed, "maximize_planted_objective",
+                        lambda a: (0.5, math.nan) if a > 0.5 else real(a))
+    assert not check_variational_max().passed
 
 
 def test_jensen_ordering():
@@ -161,9 +178,11 @@ def test_barZ_identity_diagonal():
         assert barZ_exact(m, m) == 2**m
 
 
-def test_barZ_matches_direct_double_sum():
+def test_barZ_matches_direct_double_sum(monkeypatch):
+    # The check must reach n = 8.
+    monkeypatch.setattr(annealed, "barZ_exact", lambda n, m: barZ_exact(n, m) + (n == 8))
     result = check_gap_product_formula()
-    assert result.passed, result.detail
+    assert not result.passed and result.detail == "(n,m)=(8,1)"
 
 
 def test_barZ_range_errors():
@@ -175,9 +194,12 @@ def test_barZ_range_errors():
         barZ_exact(3, 4)
 
 
-def test_planted_mean_matches_full_enumeration():
+def test_planted_mean_matches_full_enumeration(monkeypatch):
+    # The check compares exact rationals, up to n = 6.
+    monkeypatch.setattr(annealed, "planted_mean_partition",
+                        lambda n, m: planted_mean_partition(n, m) + Fraction(n == 6, 10**30))
     result = check_planted_mean_enumeration()
-    assert result.passed, result.detail
+    assert not result.passed and result.detail == "(n,m)=(6,1)"
 
 
 def test_finite_size_annealed_trend():

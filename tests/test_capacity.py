@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from subseqlab import capacity
 from subseqlab.annealed import LN2
 from subseqlab.capacity import (
     beta_alpha,
@@ -78,9 +79,13 @@ def test_explicit_lower_bound_log_space():
         assert v < 0  # the bound is far below 1
 
 
-def test_bound_sandwich_grid():
+def test_bound_sandwich_grid(monkeypatch):
+    # An upper bound 1e-9 under the DGV bound at the last grid point,
+    # p = 0.96, must fail the check.
+    monkeypatch.setattr(capacity, "upper_bound_uniform_capacity",
+                        lambda p: dgv_lower_bound(p) - 1e-9 if p > 0.95 else upper_bound_uniform_capacity(p))
     result = check_capacity_sandwich()
-    assert result.passed, result.detail
+    assert not result.passed and result.detail == "p=0.96"
 
 
 def test_all_finite_across_extreme_alphas():

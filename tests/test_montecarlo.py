@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import warnings
 
 import pytest
 
+from subseqlab import montecarlo
 from subseqlab.annealed import null_annealed
 from subseqlab.core import Seed
 from subseqlab.montecarlo import (
@@ -117,9 +119,20 @@ def test_polymer_comparison_rows():
         polymer_comparison_curve(CurveSpec(grid=(0.25, 0.7), n=100, samples=2))
 
 
-def test_gap_experiment_exhaustive_identity():
-    result = check_nishimori_identity()
-    assert result.passed, result.detail
+def test_gap_experiment_exhaustive_identity(monkeypatch):
+    # The check must reach (n, m) = (8, 3) with its 1e-12 bound, and fail on
+    # a NaN side after the first size.
+    real = montecarlo.null_planted_gap_experiment
+
+    def shifted(shift, n_at):
+        def gap(alpha, n):
+            rep = real(alpha, n)
+            return dataclasses.replace(rep, planted_side=rep.planted_side + shift) if n == n_at else rep
+        return gap
+
+    for shift, n_at in ((1e-11, 8), (math.nan, 6)):
+        monkeypatch.setattr(montecarlo, "null_planted_gap_experiment", shifted(shift, n_at))
+        assert not check_nishimori_identity().passed
 
 
 def test_gap_experiment_m_zero():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subseqlab import partition
+from subseqlab import partition, verify
 from subseqlab.core import BitString, Seed, all_bitstrings
 from subseqlab.partition import (
     ExplicitMatrix,
@@ -64,6 +64,20 @@ def test_count_monotone_under_append(xbits, ybits, extra):
 def test_log_dp_matches_exact_when_representable():
     result = check_logdp_vs_exact(pairs=150, seed=7)
     assert result.passed, result.detail
+
+
+def test_log_dp_check_fails_on_nan(monkeypatch):
+    # A NaN log count on a nonzero count after the first pair must fail the
+    # check; a running builtin max would drop it.
+    calls = []
+
+    def nan_after_first(env):
+        value = log_count_embeddings(env)
+        calls.append(value)
+        return math.nan if len(calls) > 1 and value != NEG_INF else value
+
+    monkeypatch.setattr(verify, "log_count_embeddings", nan_after_first)
+    assert not check_logdp_vs_exact().passed
 
 
 def test_log_dp_zero_environment():
