@@ -117,12 +117,8 @@ class AlignmentParams:
         # before forcing a stop ("counter capped at b^epsilon").
         return max(1, int(math.floor(self.b**self.epsilon + _FUZZ)))
 
-    def in_window(self, length: int) -> bool:
-        ab = self.alpha * self.b
-        return (1.0 - self.delta) * ab - _FUZZ <= length <= (1.0 + self.delta) * ab + _FUZZ
-
     def window_ints(self):
-        """Smallest and largest in-window integer lengths, clipped to [0, b]."""
+        """Smallest and largest integer lengths in the induced window, clipped to [0, b]."""
         ab = self.alpha * self.b
         lo = max(0, int(math.ceil((1.0 - self.delta) * ab - _FUZZ)))
         hi = min(self.b, int(math.floor((1.0 + self.delta) * ab + _FUZZ)))
@@ -178,7 +174,8 @@ def is_induced_member(part: Partition, m: int, params: AlignmentParams) -> bool:
     lens = part.block_lengths
     if len(lens) != params.big_b or sum(lens) != m or any(v > params.b for v in lens):
         return False
-    exceptional = sum(1 for v in lens if not params.in_window(v))
+    lo, hi = params.window_ints()
+    exceptional = sum(1 for v in lens if not lo <= v <= hi)
     return exceptional <= params.induced_budget
 
 
@@ -362,7 +359,8 @@ def standardize(y: BitString, part: Partition, params: AlignmentParams) -> Parti
     if not is_induced_member(part, len(y), params):
         raise ValueError("invalid input partition: not an induced near-equipartition")
     lens = part.block_lengths
-    exceptional = [not params.in_window(v) for v in lens]
+    lo, hi = params.window_ints()
+    exceptional = [not lo <= v <= hi for v in lens]
     targets = params.std_targets()
     cap = params.scan_cap
     out = [0] * big_b

@@ -27,6 +27,7 @@ from .special import binary_entropy, digamma, golden_section_min, minimize_unimo
 
 LN2 = math.log(2.0)
 NEG_INF = float("-inf")
+_MAX_SHELLS = 100_000  # pair_mgf_series raises rather than sum more shells
 
 
 class DivergentSeriesError(ValueError):
@@ -55,7 +56,7 @@ def pair_mgf_closed_form(x: float, y: float) -> float:
     return x * y / math.sqrt(d)
 
 
-def pair_mgf_series(x: float, y: float, tol: float = 1e-12, max_shells: int = 100_000) -> float:
+def pair_mgf_series(x: float, y: float, tol: float = 1e-12) -> float:
     """Direct evaluation of the pair series, summed shell by shell in the outer
     index until the geometric tail estimate drops below tol.
 
@@ -75,7 +76,7 @@ def pair_mgf_series(x: float, y: float, tol: float = 1e-12, max_shells: int = 10
     log_x, log_y = math.log(x), math.log(y)
     log_tail_factor = math.log(ratio_limit / (1.0 - ratio_limit))
     total_log = NEG_INF
-    for m in range(max_shells):  # shell m hosts outer index a = m + 1
+    for m in range(_MAX_SHELLS):  # shell m hosts outer index a = m + 1
         # log term_k = (m+1) ln x + (k+1) ln y + 2 ln C(m, k), k = 0..m.
         k = np.arange(m, dtype=np.float64)
         increments = 2.0 * (np.log(m - k) - np.log(k + 1.0)) + log_y
@@ -86,7 +87,7 @@ def pair_mgf_series(x: float, y: float, tol: float = 1e-12, max_shells: int = 10
         if shell_log + log_tail_factor < math.log(tol) + total_log:
             return float(math.exp(total_log))
     raise DivergentSeriesError(
-        f"series did not converge within {max_shells} shells at x={x}, y={y}"
+        f"series did not converge within {_MAX_SHELLS} shells at x={x}, y={y}"
     )
 
 
@@ -182,13 +183,13 @@ def planted_annealed(alpha: float) -> AnnealedPlantedSolution:
     )
 
 
-def maximize_planted_objective(alpha: float, tol: float = 1e-13):
+def maximize_planted_objective(alpha: float):
     """Numeric maximization of a*rho*Phi(rho) over (0, 1); returns (rho, value).
 
     Independent route to the closed-form raw value: golden section on the
     negated objective, which is strictly increasing then decreasing.
     """
-    rho, neg = golden_section_min(lambda r: -planted_objective(alpha, r), 1e-9, 1.0 - 1e-9, tol=tol)
+    rho, neg = golden_section_min(lambda r: -planted_objective(alpha, r), 1e-9, 1.0 - 1e-9)
     return rho, -neg
 
 
@@ -262,7 +263,7 @@ def strict_weak_argmin(a: float, b: float, alpha: float) -> float:
     def objective(lam: float) -> float:
         return -(1.0 - alpha) * digamma(lam) + digamma(a + lam) + alpha * math.log(b)
 
-    lam, _ = minimize_unimodal(objective, 0.25, 4.0, tol=1e-13)
+    lam, _ = minimize_unimodal(objective, 0.25, 4.0)
     return lam
 
 

@@ -1,4 +1,4 @@
-"""Binary strings, disorder sampling, the binary deletion channel, and typicality.
+"""Binary strings, the null, planted and deletion-channel samplers, and typicality.
 
 All randomness flows through :class:`Seed`, a (master, stream) pair feeding a
 PCG64 generator via numpy's SeedSequence.  Distinct (master, stream) pairs give
@@ -139,7 +139,6 @@ class Disorder:
     y: BitString
     law: DisorderLaw
     planted_embedding: Optional[np.ndarray] = None
-    channel_p: Optional[float] = None
 
     def __post_init__(self):
         if len(self.y) > len(self.x):
@@ -188,22 +187,15 @@ def sample_planted(n: int, m: int, seed: Seed) -> Disorder:
     return Disorder(x, x.take(emb), DisorderLaw.PLANTED, planted_embedding=emb)
 
 
-def deletion_channel(x: BitString, p: float, seed: Seed) -> BitString:
-    """Delete each bit of x independently with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"deletion probability must lie in [0, 1], got {p}")
-    keep = seed.rng().random(len(x)) >= p
-    return BitString(x.bits[keep])
-
-
 def sample_channel(n: int, p: float, seed: Seed) -> Disorder:
-    """Uniform x pushed through the deletion channel; |y| is Binomial(n, 1-p)."""
+    """Uniform x with each bit deleted independently with probability p: |y| is
+    Binomial(n, 1-p), and given |y| = m, P(x, y) = Z(x, y) / (2^n C(n, m))."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"deletion probability must lie in [0, 1], got {p}")
     rng = seed.rng()
     x = BitString(rng.integers(0, 2, size=n, dtype=np.uint8))
     keep = rng.random(n) >= p
-    return Disorder(x, BitString(x.bits[keep]), DisorderLaw.CHANNEL, channel_p=p)
+    return Disorder(x, BitString(x.bits[keep]), DisorderLaw.CHANNEL)
 
 
 def block_displacements(x: BitString, b: int) -> np.ndarray:

@@ -37,6 +37,9 @@ PLANTED_BDC = "planted-bdc"
 BERNOULLI_MATCHING = "bernoulli-matching"
 STRICT_WEAK = "strict-weak"
 
+# Strict-weak weights: Exponential of mean 1/2, matching a fair coin's mean and variance.
+GAMMA_SHAPE, GAMMA_SCALE = 1.0, 0.5
+
 
 @dataclass(frozen=True)
 class FreeEnergyEstimate:
@@ -44,14 +47,13 @@ class FreeEnergyEstimate:
 
     alpha: float
     n: int
-    model: str
     samples: int
     mean: float
     stderr: float
     zero_fraction: float
 
 
-def _sample_mean(environment, alpha: float, n: int, samples: int, seed: Seed, model: str) -> FreeEnergyEstimate:
+def _sample_mean(environment, alpha: float, n: int, samples: int, seed: Seed) -> FreeEnergyEstimate:
     """The sample loop shared by every estimator: sample i runs the log-domain
     DP on environment(seed.substream(i)) and contributes (1/n) log Z, with
     log 0 := 0 and the zero count reported as zero_fraction."""
@@ -65,18 +67,16 @@ def _sample_mean(environment, alpha: float, n: int, samples: int, seed: Seed, mo
         values[i] = logz / n
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return FreeEnergyEstimate(
-        alpha=alpha, n=n, model=model, samples=samples,
-        mean=mean, stderr=stderr, zero_fraction=zeros / samples,
-    )
+    return FreeEnergyEstimate(alpha=alpha, n=n, samples=samples, mean=mean, stderr=stderr, zero_fraction=zeros / samples)
 
 
 def estimate_quenched(model: str, alpha: float, n: int, samples: int, seed: Seed) -> FreeEnergyEstimate:
     """Per-sample: draw disorder, run the log-domain DP, average (1/n) log Z.
 
-    model is "null", "planted" (fixed M = floor(alpha n) uniform subsets, the
-    floor taken of the exact decimal product, see core.embedded_length), or
-    "planted-bdc" (deletion-channel output of random length, alpha = 1 - p).
+    model is "null" or "planted" at M = floor(alpha n) (the floor of the exact
+    decimal product, see core.embedded_length), or "planted-bdc"
+    (core.sample_channel at p = 1 - alpha, the planted law at a random M).
+    "null" warns at alpha >= 1/2, where Z = 0 with high probability.
     """
     if n < 1 or samples < 1:
         raise ValueError("need n >= 1 and samples >= 1")
@@ -98,21 +98,21 @@ def estimate_quenched(model: str, alpha: float, n: int, samples: int, seed: Seed
         d = draw(sub)
         return RankOneIndicator(d.x, d.y)
 
-    return _sample_mean(environment, alpha, n, samples, seed, model)
+    return _sample_mean(environment, alpha, n, samples, seed)
 
 
 def estimate_polymer(env_kind: str, alpha: float, n: int, samples: int, seed: Seed) -> FreeEnergyEstimate:
     """Quenched estimate for an i.i.d. weight environment: "bernoulli-matching"
-    (fair 0/1 coins) or "strict-weak" (Gamma(1, 1/2) weights)."""
+    (fair 0/1 coins) or "strict-weak" (Gamma(GAMMA_SHAPE, GAMMA_SCALE) weights)."""
     if n < 1 or samples < 1:
         raise ValueError("need n >= 1 and samples >= 1")
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     m = embedded_length(alpha, n)
     if env_kind == BERNOULLI_MATCHING:
-        return _sample_mean(lambda sub: IidBernoulliHalf(n, m, sub), alpha, n, samples, seed, env_kind)
+        return _sample_mean(lambda sub: IidBernoulliHalf(n, m, sub), alpha, n, samples, seed)
     if env_kind == STRICT_WEAK:
-        return _sample_mean(lambda sub: IidGamma(n, m, 1.0, 0.5, sub), alpha, n, samples, seed, f"{env_kind}(1.0,0.5)")
+        return _sample_mean(lambda sub: IidGamma(n, m, GAMMA_SHAPE, GAMMA_SCALE, sub), alpha, n, samples, seed)
     raise ValueError(f"unknown environment kind {env_kind!r}")
 
 
@@ -193,14 +193,13 @@ class PolymerComparisonRow:
 
 def polymer_point(alpha: float, n: int, samples: int, seed: Seed) -> PolymerComparisonRow:
     """One grid point of the polymer comparison: the simulated null model beside
-    the exactly solvable Gamma(1, 1/2) polymer, whose weights match the mean and
-    variance of the fair-coin indicator environment."""
+    the exactly solvable Gamma(GAMMA_SHAPE, GAMMA_SCALE) polymer."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         est = estimate_quenched(NULL, alpha, n, samples, seed)
     return PolymerComparisonRow(
         alpha=alpha,
-        strict_weak_exact=strict_weak_value(1.0, 0.5, alpha),
+        strict_weak_exact=strict_weak_value(GAMMA_SHAPE, GAMMA_SCALE, alpha),
         null_mc=est.mean,
         null_mc_stderr=est.stderr,
         null_zero_fraction=est.zero_fraction,

@@ -56,16 +56,18 @@ def normal_cdf(z: float) -> float:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1e-13  # bracket width at which golden section stops, relative to max(1, |a| + |b|)
+_MAX_EXPAND = 200  # bracket expansions before minimize_unimodal gives up
 
 
-def golden_section_min(f, a: float, b: float, tol: float = 1e-12):
+def golden_section_min(f, a: float, b: float):
     """Golden-section minimum of a unimodal f on [a, b].  Returns (argmin, value)."""
     if not a < b:
         raise ValueError("need a < b")
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol * max(1.0, abs(a) + abs(b)):
+    while b - a > _GOLDEN_TOL * max(1.0, abs(a) + abs(b)):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)
@@ -79,19 +81,19 @@ def golden_section_min(f, a: float, b: float, tol: float = 1e-12):
     return x2, f2
 
 
-def minimize_unimodal(f, lo: float, hi: float, tol: float = 1e-12, max_expand: int = 200):
+def minimize_unimodal(f, lo: float, hi: float):
     """Bracket an interior minimum of f on (0, inf) starting from [lo, hi],
     then refine by golden section.  Returns (argmin, value).
 
     The bracket grows geometrically; ValueError when no interior minimum is
-    found within ``max_expand`` expansions (no-interior-minimum condition).
+    found within _MAX_EXPAND expansions (no-interior-minimum condition).
     """
     if not 0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
     a, b = lo, hi
     mid = math.sqrt(a * b)
     fa, fm, fb = f(a), f(mid), f(b)
-    for _ in range(max_expand):
+    for _ in range(_MAX_EXPAND):
         if fm <= fa and fm <= fb:
             break
         if fa < fm:
@@ -112,4 +114,4 @@ def minimize_unimodal(f, lo: float, hi: float, tol: float = 1e-12, max_expand: i
         raise ValueError("no interior minimum found while expanding the bracket")
     if not (fm <= fa and fm <= fb):
         raise ValueError("no interior minimum found while expanding the bracket")
-    return golden_section_min(f, a, b, tol=tol)
+    return golden_section_min(f, a, b)

@@ -34,7 +34,17 @@ from subseqlab.alignment import AlignmentParams, alignment_experiment, alignment
 from subseqlab.annealed import null_annealed, strict_weak_value
 from subseqlab.capacity import skip_vector_lower_bound
 from subseqlab.core import Seed, embedded_length
-from subseqlab.montecarlo import NULL, STRICT_WEAK, CurveSpec, curve, estimate_polymer, estimate_quenched, mutual_info_point
+from subseqlab.montecarlo import (
+    GAMMA_SCALE,
+    GAMMA_SHAPE,
+    NULL,
+    STRICT_WEAK,
+    CurveSpec,
+    curve,
+    estimate_polymer,
+    estimate_quenched,
+    mutual_info_point,
+)
 from subseqlab.special import binary_entropy
 from subseqlab.verify import (
     check_alignment_small_oracle,
@@ -99,7 +109,7 @@ def test_criterion_06_strict_weak_cross_check():
     start = time.time()
     worst = 0.0
     for g, alpha in enumerate((0.1, 0.2, 0.3, 0.4)):
-        exact = strict_weak_value(1.0, 0.5, alpha)
+        exact = strict_weak_value(GAMMA_SHAPE, GAMMA_SCALE, alpha)
         est = estimate_polymer(STRICT_WEAK, alpha, 4000, 16, Seed(606).substream(100 * g))
         worst = max(worst, abs(est.mean - exact) / abs(exact))
     elapsed = time.time() - start
@@ -150,12 +160,8 @@ def test_criterion_07_figure1_reproduction():
 
 
 def test_criterion_08_null_band():
-    import warnings
-
     n = 10_000
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        est = estimate_quenched(NULL, 0.25, n, 8, Seed(808))
+    est = estimate_quenched(NULL, 0.25, n, 8, Seed(808))
     lower = skip_vector_lower_bound(0.25)  # = h(1/2)/2 = 0.34657...
     upper = null_annealed(0.25)            # = 0.38905...
     in_band = lower - 3 * est.stderr <= est.mean <= upper

@@ -1,9 +1,12 @@
+import argparse
 import concurrent.futures
 import inspect
 import json
 import math
 import os
+import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -251,16 +254,54 @@ def test_verify_fast_passes_in_process(capsys):
     assert check_lines and all(re.match(r"PASS  \S+  \[\d+\.\d\d s\]", line) for line in check_lines)
 
 
-def test_verify_detects_corrupted_constant(monkeypatch, capsys):
-    # Harness self-test: corrupt a closed-form constant and expect a failure.
+def test_verify_detects_corrupted_constant(monkeypatch):
+    # Harness self-test: corrupt a closed-form constant and expect exactly the
+    # check that reads it to fail among the closed-form checks.
+    verify = subseqlab.verify
     real = subseqlab.annealed.rho_star
+    monkeypatch.setattr(subseqlab.annealed, "rho_star", lambda alpha: real(alpha) * (1 + 1e-6))
+    monkeypatch.setattr(verify, "FAST_CHECKS", (
+        verify.check_closed_form_residuals,
+        verify.check_closed_form_vs_series,
+        verify.check_envelope_identity,
+        verify.check_variational_max,
+    ))
+    results = verify.run("fast")
+    assert len(results) == 4
+    assert [r.name for r in results if not r.passed] == ["annealed/closed-form-residuals"]
 
-    def broken(alpha):
-        return real(alpha) * (1 + 1e-6)
 
-    monkeypatch.setattr(subseqlab.annealed, "rho_star", broken)
-    results = subseqlab.verify.run("fast")
-    assert any(not r.passed for r in results)
+def test_verify_reports_a_raising_check_as_failed(monkeypatch, capsys):
+    def check_raises():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(subseqlab.verify, "FAST_CHECKS", (check_raises,))
+    [result] = subseqlab.verify.run("fast")
+    assert not result.passed
+    assert result.name == "check_raises"
+    assert result.detail.startswith("raised RuntimeError('boom')")
+    assert main(["verify"]) == 1
+    assert "FAIL  check_raises" in capsys.readouterr().out
+
+
+def test_readme_commands_parse():
+    # Every `subseqlab ...` line in README's code blocks parses, and together
+    # they show every subcommand.
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    parser = subseqlab.cli.build_parser()
+    seen = set()
+    for block in readme.split("```")[1::2]:
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            while words and re.match(r"\w+=", words[0]):
+                words.pop(0)  # environment assignments such as RSM_THREADS=2
+            if words[:1] == ["subseqlab"]:
+                try:
+                    seen.add(parser.parse_args(words[1:]).command)
+                except SystemExit:
+                    pytest.fail(f"README command does not parse: {line.strip()}")
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert seen == set(commands)
 
 
 def test_every_check_is_registered_once():

@@ -11,7 +11,7 @@ from subseqlab.core import (
     Disorder,
     DisorderLaw,
     Seed,
-    deletion_channel,
+    all_bitstrings,
     embedded_length,
     is_typical,
     sample_channel,
@@ -132,37 +132,39 @@ def test_disorder_invariants_enforced():
 
 
 def test_deletion_channel_edges():
-    x = sample_uniform_string(50, Seed(5))
-    assert deletion_channel(x, 0.0, Seed(6)) == x
-    assert len(deletion_channel(x, 1.0, Seed(6))) == 0
+    d = sample_channel(50, 0.0, Seed(6))
+    assert d.y == d.x
+    assert len(sample_channel(50, 1.0, Seed(6)).y) == 0
     with pytest.raises(ValueError):
-        deletion_channel(x, 1.5, Seed(6))
+        sample_channel(50, 1.5, Seed(6))
 
 
 def test_deletion_channel_mean_length():
-    x = sample_uniform_string(10_000, Seed(8))
     base = Seed(88)
-    total = sum(len(deletion_channel(x, 0.3, base.substream(i))) for i in range(1000))
+    total = sum(len(sample_channel(10_000, 0.3, base.substream(i)).y) for i in range(1000))
     assert abs(total / 1000 - 7000) < 50
 
 
 def test_deletion_channel_conditioned_matches_subset_law():
-    # Conditioned on output length m, the channel output string s appears with
-    # probability Z(x, s) / C(n, m): the uniform-subset law.
-    x = BitString.from_text("110100")
-    n, m, p = 6, 3, 0.5
+    # Conditioned on |y| = m, the channel output is x restricted to a uniform
+    # m-subset, so (x, y) appears with probability Z(x, y) / (2^n C(n, m)).
+    # Every cell, unseen ones included, lies within 5 standard errors.
+    n, m, p = 4, 2, 0.5
     base = Seed(99)
     counts = {}
     kept = 0
     for i in range(60_000):
-        out = deletion_channel(x, p, base.substream(i))
-        if len(out) == m:
+        d = sample_channel(n, p, base.substream(i))
+        if len(d.y) == m:
             kept += 1
-            counts[out.to_text()] = counts.get(out.to_text(), 0) + 1
-    total_subsets = math.comb(n, m)
-    for text, c in counts.items():
-        expected = count_embeddings_exact(x, BitString.from_text(text)) / total_subsets
-        assert abs(c / kept - expected) < 0.02
+            key = (d.x.to_text(), d.y.to_text())
+            counts[key] = counts.get(key, 0) + 1
+    assert kept > 20_000
+    for x in all_bitstrings(n):
+        for y in all_bitstrings(m):
+            expected = count_embeddings_exact(x, y) / (2**n * math.comb(n, m))
+            observed = counts.get((x.to_text(), y.to_text()), 0) / kept
+            assert abs(observed - expected) <= 5 * math.sqrt(expected * (1 - expected) / kept)
 
 
 def test_sample_channel():
