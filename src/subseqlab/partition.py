@@ -24,6 +24,20 @@ is bit for bit that of the full recurrence.  The corridor lies inside
 Ukkonen's band (L_j >= j, R_j <= N - M + j), and when L does not exist Z = 0
 and no DP runs.  LogDPTable, which sees only weight rows, skips only the
 entries past its row count, which are still Z = 0.
+
+i.i.d. Gamma environments run a banded kernel with LogDPTable's recurrence.
+After n rows only the cells max(0, M - N + n) <= m <= min(n, M) can reach
+(N, M), since each row moves at most one column.  The upper edge is
+LogDPTable's.  The lower edge is exact, because a cell below it feeds only cells
+below it in later rows, which the kernel never reads.  The kernel composes
+logaddexp(a, b) as max(a, b) + log1p(exp(min(a, b) - max(a, b))) from
+vectorised ufuncs.  This is the formula numpy's scalar logaddexp evaluates;
+only the exp and log1p code differs, so values agree with LogDPTable to a few
+ulps.  An operand of -inf gives the other one exactly.  Two -infs would give
+NaN, so the kernel maps that NaN back to -inf.  The cell that enters the band
+(m = n) starts from Z = 0 and reads its neighbour before that is updated.
+LogDPTable stays the reference route: it serves the other generic
+environments, and verify checks the banded kernel against it.
 """
 
 from __future__ import annotations
@@ -36,6 +50,10 @@ import numpy as np
 from .core import BitString, Seed
 
 NEG_INF = float("-inf")
+
+# Rows of i.i.d. weights drawn per generator call: 16 rows of M = 1600 are
+# 200 kB, and the per-call overhead is paid once per 16 rows.
+_DRAW_ROWS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +130,22 @@ class IidGamma:
         return self.n, self.m
 
     def log_weight_rows(self) -> Iterator[np.ndarray]:
+        # Rows are drawn _DRAW_ROWS at a time; numpy fills a block in row-major
+        # order, so the values are those of one call per row.  Gamma(1, s) is
+        # computed as s times a standard exponential, which is bit for bit
+        # what rng.gamma(1.0, s) returns, through numpy's faster fill loop.  A
+        # draw that underflows to 0 (small shapes) has log weight -inf.
         rng = self.seed.rng()
-        for _ in range(self.n):
-            yield np.log(rng.gamma(self.shape, self.scale, size=self.m))
+        for start in range(0, self.n, _DRAW_ROWS):
+            size = (min(_DRAW_ROWS, self.n - start), self.m)
+            if self.shape == 1.0:
+                block = rng.standard_exponential(size)
+                block *= self.scale
+            else:
+                block = rng.gamma(self.shape, self.scale, size=size)
+            with np.errstate(divide="ignore"):
+                np.log(block, out=block)
+            yield from block
 
 
 @dataclass(frozen=True)
@@ -207,10 +238,62 @@ def _log_count_rank_one(x: BitString, y: BitString) -> float:
     return float(row[m])
 
 
+def _band_edges(n: int, m: int, rows: int):
+    """(lo, hi): after `rows` weight rows, the cells max(0, M - N + rows) <=
+    m <= min(rows, M) can still reach (N, M); cell 0 stays log 1."""
+    return max(1, m - n + rows), min(rows, m)
+
+
+def _band_step(row, log_weights, lo: int, hi: int, enter: bool, scratch) -> None:
+    """Advance cells lo..hi of `row` by one weight row: logaddexp(own, lw + src),
+    composed as max(a, b) + log1p(exp(min(a, b) - max(a, b))) from vectorised
+    ufuncs into the two scratch buffers.  When `enter`, cell hi joins the band
+    this row: its own value is Z = 0, so it becomes lw + src, and src must be
+    read before this row updates it."""
+    if enter:
+        row[hi] = log_weights[hi - 1] + row[hi - 1]
+        hi -= 1
+    k = hi - lo + 1
+    if k <= 0:
+        return
+    own = row[lo:hi + 1]
+    b, top = scratch[0][:k], scratch[1][:k]
+    np.add(log_weights[lo - 1:hi], row[lo - 1:hi], out=b)
+    np.maximum(own, b, out=top)
+    np.minimum(own, b, out=b)
+    # exp sees min - max <= 0, so nothing overflows.  An own of -inf gives
+    # exp(-inf) = 0 and so b exactly.  Two -infs give -inf - -inf = NaN, which
+    # fmax turns into -inf, so the cell stays -inf.
+    np.subtract(b, top, out=b)
+    np.fmax(b, NEG_INF, out=b)
+    np.exp(b, out=b)
+    np.log1p(b, out=b)
+    np.add(top, b, out=own)
+
+
+def _log_count_banded(n: int, m: int, log_rows) -> float:
+    """log Z from N weight rows, by LogDPTable's recurrence kept to the band
+    (see the module docstring).  Returns the same value as LogDPTable to the
+    last bits of exp and log1p."""
+    row = np.full(m + 1, NEG_INF)
+    row[0] = 0.0
+    scratch = (np.empty(m), np.empty(m))
+    rows = 0
+    with np.errstate(invalid="ignore"):  # the -inf - -inf that _band_step mends
+        for rows, log_weights in enumerate(log_rows, 1):
+            lo, hi = _band_edges(n, m, rows)
+            _band_step(row, log_weights, lo, hi, rows <= m, scratch)
+    if rows != n:
+        raise ValueError("environment yielded the wrong number of rows")
+    return float(row[m])
+
+
 def log_count_embeddings(env: Environment) -> float:
     """log Z for a weight environment, streamed row by row; -inf iff Z = 0."""
     if isinstance(env, RankOneIndicator):
         return _log_count_rank_one(env.x, env.y)
+    if isinstance(env, IidGamma):
+        return _log_count_banded(env.n, env.m, env.log_weight_rows())
     n, m = env.dims
     table = LogDPTable(m)
     for log_row in env.log_weight_rows():

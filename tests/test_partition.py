@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from subseqlab.verify import (
     brute_embeddings,
     check_common_subsequence_oracle,
     check_exact_dp_vs_bruteforce,
+    check_gamma_vs_logdp,
     check_greedy_equivalence,
     check_logdp_vs_exact,
     check_rank_one_vs_generic,
@@ -246,3 +248,77 @@ def test_gamma_environment_rows_positive():
     logz2 = log_count_embeddings(IidGamma(20, 10, shape=1.0, scale=0.5, seed=Seed(123)))
     assert logz1 == logz2  # deterministic given seed
     assert math.isfinite(logz1)
+
+
+def test_first_entry_read_after_update_fails_the_gamma_check(monkeypatch):
+    # The cell that enters the band computed from its neighbour's value after
+    # this row's update instead of before it.
+    real = partition._band_step
+
+    def slipped(row, log_weights, lo, hi, enter, scratch):
+        real(row, log_weights, lo, hi - enter, False, scratch)
+        if enter:
+            row[hi] = log_weights[hi - 1] + row[hi - 1]
+
+    monkeypatch.setattr(partition, "_band_step", slipped)
+    assert not check_gamma_vs_logdp().passed
+
+
+def test_lower_band_edge_one_too_high_fails_the_gamma_check(monkeypatch):
+    monkeypatch.setattr(partition, "_band_edges", lambda n, m, rows: (max(1, m - n + rows + 1), min(rows, m)))
+    assert not check_gamma_vs_logdp().passed
+
+
+def test_gamma_zero_draws_log_without_warning():
+    # Gamma(0.02) draws underflow to 0 about once per million.
+    env = IidGamma(4000, 1200, 0.02, 0.5, Seed(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = list(env.log_weight_rows())
+    assert any(np.isneginf(row).any() for row in rows)
+
+
+def _gamma_on_rows(monkeypatch, weights):
+    """log Z of an IidGamma environment whose rows are replaced by log(weights),
+    by the banded kernel and by LogDPTable, with warnings as errors."""
+    with np.errstate(divide="ignore"):
+        log_rows = np.log(weights)
+    monkeypatch.setattr(IidGamma, "log_weight_rows", lambda self: iter(log_rows))
+    n, m = weights.shape
+    env = IidGamma(n, m, 1.0, 0.5, Seed(0))
+    table = LogDPTable(m)
+    for row in log_rows:
+        table.advance(row)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return log_count_embeddings(env), table.value
+
+
+def test_gamma_kernel_zero_weights(monkeypatch):
+    rng = np.random.default_rng(41)
+    # One zero on the diagonal at M = N: the only embedding has weight 0.
+    diagonal = rng.gamma(1.0, 0.5, (6, 6))
+    diagonal[3, 3] = 0.0
+    assert _gamma_on_rows(monkeypatch, diagonal) == (NEG_INF, NEG_INF)
+    # Interior zeros, including a zero first column down to row 5, so that
+    # cells with both operands Z = 0 lie in the band.
+    interior = rng.gamma(1.0, 0.5, (40, 15))
+    interior[rng.random(interior.shape) < 0.3] = 0.0
+    interior[:6, 0] = 0.0
+    fast, ref = _gamma_on_rows(monkeypatch, interior)
+    assert math.isfinite(ref)
+    assert math.isclose(fast, ref, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [0.5, 3.0])
+def test_gamma_rows_are_the_same_draws(scale):
+    # 40 rows cross the draw blocks and end in a partial one.  Shape 1 goes
+    # through the exponential sampler and must give rng.gamma(1.0, s)'s bits;
+    # shape 0.2 must give the per-row rng.gamma draws it always gave.
+    for shape in (1.0, 0.2):
+        for s in (0, 1, 7, 2024):
+            rng = Seed(s).rng()
+            expected = [np.log(rng.gamma(shape, scale, 33)) for _ in range(40)]
+            got = list(IidGamma(40, 33, shape, scale, Seed(s)).log_weight_rows())
+            assert len(got) == 40
+            assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
