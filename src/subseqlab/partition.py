@@ -25,7 +25,7 @@ Ukkonen's band (L_j >= j, R_j <= N - M + j), and when L does not exist Z = 0
 and no DP runs.  LogDPTable, which sees only weight rows, skips only the
 entries past its row count, which are still Z = 0.
 
-i.i.d. Gamma environments run a banded kernel with LogDPTable's recurrence.
+Every other environment runs a banded kernel with LogDPTable's recurrence.
 After n rows only the cells max(0, M - N + n) <= m <= min(n, M) can reach
 (N, M), since each row moves at most one column.  The upper edge is
 LogDPTable's.  The lower edge is exact, because a cell below it feeds only cells
@@ -33,11 +33,12 @@ below it in later rows, which the kernel never reads.  The kernel composes
 logaddexp(a, b) as max(a, b) + log1p(exp(min(a, b) - max(a, b))) from
 vectorised ufuncs.  This is the formula numpy's scalar logaddexp evaluates;
 only the exp and log1p code differs, so values agree with LogDPTable to a few
-ulps.  An operand of -inf gives the other one exactly.  Two -infs would give
-NaN, so the kernel maps that NaN back to -inf.  The cell that enters the band
-(m = n) starts from Z = 0 and reads its neighbour before that is updated.
-LogDPTable stays the reference route: it serves the other generic
-environments, and verify checks the banded kernel against it.
+ulps.  An operand of -inf gives the other one exactly.  When both are -inf the
+max is clamped to the largest negative float before the subtraction, so the
+difference is -inf rather than NaN and the cell stays -inf.  The cell that
+enters the band (m = n) starts from Z = 0 and reads its neighbour before that
+is updated.  LogDPTable stays the reference route: verify checks the banded
+kernel against it.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import numpy as np
 from .core import BitString, Seed
 
 NEG_INF = float("-inf")
+_MOST_NEGATIVE = -np.finfo(float).max
 
 # Rows of i.i.d. weights drawn per generator call: 16 rows of M = 1600 are
 # 200 kB, and the per-call overhead is paid once per 16 rows.
@@ -167,9 +169,10 @@ class ExplicitMatrix:
         return self.weights.shape
 
     def log_weight_rows(self) -> Iterator[np.ndarray]:
-        with np.errstate(divide="ignore"):
-            for row in self.weights:
-                yield np.log(row)
+        for row in self.weights:
+            with np.errstate(divide="ignore"):
+                log_row = np.log(row)
+            yield log_row
 
 
 Environment = Union[RankOneIndicator, IidBernoulliHalf, IidGamma, ExplicitMatrix]
@@ -261,11 +264,11 @@ def _band_step(row, log_weights, lo: int, hi: int, enter: bool, scratch) -> None
     np.add(log_weights[lo - 1:hi], row[lo - 1:hi], out=b)
     np.maximum(own, b, out=top)
     np.minimum(own, b, out=b)
-    # exp sees min - max <= 0, so nothing overflows.  An own of -inf gives
-    # exp(-inf) = 0 and so b exactly.  Two -infs give -inf - -inf = NaN, which
-    # fmax turns into -inf, so the cell stays -inf.
-    np.subtract(b, top, out=b)
-    np.fmax(b, NEG_INF, out=b)
+    # own is free once top and b hold both operands: it takes the max clamped
+    # to a finite value, so two -infs give -inf - finite = -inf, never NaN, and
+    # the cell stays -inf.  exp sees min - max <= 0, so nothing overflows.
+    np.maximum(top, _MOST_NEGATIVE, out=own)
+    np.subtract(b, own, out=b)
     np.exp(b, out=b)
     np.log1p(b, out=b)
     np.add(top, b, out=own)
@@ -279,10 +282,9 @@ def _log_count_banded(n: int, m: int, log_rows) -> float:
     row[0] = 0.0
     scratch = (np.empty(m), np.empty(m))
     rows = 0
-    with np.errstate(invalid="ignore"):  # the -inf - -inf that _band_step mends
-        for rows, log_weights in enumerate(log_rows, 1):
-            lo, hi = _band_edges(n, m, rows)
-            _band_step(row, log_weights, lo, hi, rows <= m, scratch)
+    for rows, log_weights in enumerate(log_rows, 1):
+        lo, hi = _band_edges(n, m, rows)
+        _band_step(row, log_weights, lo, hi, rows <= m, scratch)
     if rows != n:
         raise ValueError("environment yielded the wrong number of rows")
     return float(row[m])
@@ -292,15 +294,7 @@ def log_count_embeddings(env: Environment) -> float:
     """log Z for a weight environment, streamed row by row; -inf iff Z = 0."""
     if isinstance(env, RankOneIndicator):
         return _log_count_rank_one(env.x, env.y)
-    if isinstance(env, IidGamma):
-        return _log_count_banded(env.n, env.m, env.log_weight_rows())
-    n, m = env.dims
-    table = LogDPTable(m)
-    for log_row in env.log_weight_rows():
-        table.advance(log_row)
-    if table.row_index != n:
-        raise ValueError("environment yielded the wrong number of rows")
-    return table.value
+    return _log_count_banded(*env.dims, env.log_weight_rows())
 
 
 def count_embeddings_exact(x: BitString, y: BitString):

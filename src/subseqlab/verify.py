@@ -3,8 +3,8 @@
 Every check recomputes an expected value by an independent route (brute-force
 enumeration, series summation, finite differences, exact rationals) and
 compares against the fast path.  `fast` takes about 7 s; `full` adds the
-Gamma kernel check at N = 20,000 and the Monte Carlo band checks and takes
-about 10 s (2-core Intel Xeon).  Each cross-check is written here once: the
+banded kernel check at N = 20,000 and the Monte Carlo band checks and takes
+about 11 s (2-core Intel Xeon).  Each cross-check is written here once: the
 tests and the acceptance criteria call the checks, passing their own pair
 counts and seeds where a check takes them.
 """
@@ -24,6 +24,8 @@ import numpy as np
 from . import alignment, annealed, capacity, montecarlo
 from .core import BitString, Seed, all_bitstrings, embedded_length, sample_null, sample_planted
 from .partition import (
+    ExplicitMatrix,
+    IidBernoulliHalf,
     IidGamma,
     LogDPTable,
     RankOneIndicator,
@@ -182,49 +184,60 @@ def check_rank_one_vs_generic(pairs: int = 200, seed: int = 1008) -> CheckResult
     return _result(name, zeros > 0, f"{len(cases)} pairs equal, {zeros} with Z = 0, |x| <= 2000")
 
 
-def _gamma_vs_logdp(name, cases, seed, need_zero: bool) -> CheckResult:
-    """The banded Gamma kernel against LogDPTable fed the same environment's
-    weight rows, at each (N, M, shape, scale) in `cases`: relative error at
-    most 1e-12, and -inf exactly when LogDPTable gives -inf.  With
-    `need_zero`, fails unless some case has Z = 0."""
-    root = Seed(seed)
+def _banded_vs_logdp(name, envs, need_zero: bool) -> CheckResult:
+    """The banded kernel behind log_count_embeddings against LogDPTable fed the
+    same environment's weight rows: relative error at most 1e-12, and -inf
+    exactly when LogDPTable gives -inf.  With `need_zero`, fails unless some
+    environment has Z = 0."""
     errors, zeros = [], 0
-    for i, (n, m, shape, scale) in enumerate(cases):
-        env = IidGamma(n, m, shape, scale, root.substream(i))
-        table = LogDPTable(m)
+    for i, env in enumerate(envs):
+        table = LogDPTable(env.dims[1])
         for row in env.log_weight_rows():
             table.advance(row)
         fast, ref = log_count_embeddings(env), table.value
         if (fast == float("-inf")) != (ref == float("-inf")):
-            return _result(name, False, f"{fast!r} vs {ref!r} at N={n}, M={m}, shape={shape}, scale={scale}")
+            return _result(name, False, f"{fast!r} vs {ref!r} at environment {i}, {type(env).__name__} N, M = {env.dims}")
         if ref == float("-inf"):
             zeros += 1
         else:
             errors.append(0.0 if fast == ref else abs(fast - ref) / abs(ref))
     worst = _worst(errors)
     ok = worst <= 1e-12 and (zeros > 0 or not need_zero)
-    return _result(name, ok, f"{len(cases)} environments, {zeros} with Z = 0, worst rel err {worst:.1e}")
+    return _result(name, ok, f"{len(envs)} environments, {zeros} with Z = 0, worst rel err {worst:.1e}")
 
 
-def check_gamma_vs_logdp(seed: int = 1011) -> CheckResult:
-    """N in {1, 2, 13, 400} at M in {0, 1, N - 1, N} for every (shape, scale),
-    where shape 0.002 draws a zero about a quarter of the time (Z = 0 cells in
-    the band, and Z = 0 at M = N), then N = 4000 at alpha from 0.05 to 1.
-    Shapes other than 1 draw slowly, so N = 4000 gives them only small M."""
+def check_banded_vs_logdp(seed: int = 1011) -> CheckResult:
+    """Gamma and fair-coin environments at N in {1, 2, 13, 400} and M in
+    {0, 1, N - 1, N}, Gamma at every (shape, scale), where shape 0.002 draws a
+    zero about a quarter of the time (Z = 0 cells in the band, and Z = 0 at
+    M = N); then Gamma at N = 4000 for alpha from 0.05 to 1, fair coins at
+    N = 2000, alpha = 0.4, and explicit matrices with zero weights, a zero
+    first column, and more columns than rows.  Shapes other than 1 draw
+    slowly, so N = 4000 gives them only small M."""
+    root = Seed(seed)
     params = [(shape, scale) for shape in (0.002, 0.02, 0.2, 1.0, 5.0) for scale in (0.5, 3.0)]
-    cases = [(n, m, shape, scale) for n in (1, 2, 13, 400) for m in sorted({0, 1, n - 1, n})
-             for shape, scale in params]
+    dims = [(n, m) for n in (1, 2, 13, 400) for m in sorted({0, 1, n - 1, n})]
+    specs = [(IidGamma, (n, m, shape, scale)) for n, m in dims for shape, scale in params]
+    specs += [(IidBernoulliHalf, (n, m)) for n, m in dims]
     for alpha, (shape, scale) in zip((0.05, 0.1, 0.4, 0.7, 1.0),
                                      ((5.0, 0.5), (0.02, 3.0), (1.0, 0.5), (1.0, 3.0), (1.0, 0.5))):
-        cases.append((4000, embedded_length(alpha, 4000), shape, scale))
-    return _gamma_vs_logdp("partition/gamma-vs-logdp", cases, seed, need_zero=True)
+        specs.append((IidGamma, (4000, embedded_length(alpha, 4000), shape, scale)))
+    specs.append((IidBernoulliHalf, (2000, embedded_length(0.4, 2000))))
+    envs = [kind(*args, root.substream(i)) for i, (kind, args) in enumerate(specs)]
+    rng = root.substream(len(specs)).rng()
+    for n, m in ((40, 15), (30, 30), (3, 5), (6, 0), (0, 4)):
+        weights = rng.gamma(1.0, 0.5, (n, m))
+        weights[rng.random((n, m)) < 0.3] = 0.0
+        weights[:n // 5, :1] = 0.0
+        envs.append(ExplicitMatrix(weights))
+    return _banded_vs_logdp("partition/banded-vs-logdp", envs, need_zero=True)
 
 
-def check_gamma_vs_logdp_large(seed: int = 1012) -> CheckResult:
+def check_banded_vs_logdp_large(seed: int = 1012) -> CheckResult:
     """The strict-weak environment at N = 20,000, alpha = 0.1."""
     n = 20_000
-    cases = [(n, embedded_length(0.1, n), montecarlo.GAMMA_SHAPE, montecarlo.GAMMA_SCALE)]
-    return _gamma_vs_logdp("partition/gamma-vs-logdp-large", cases, seed, need_zero=False)
+    env = IidGamma(n, embedded_length(0.1, n), montecarlo.GAMMA_SHAPE, montecarlo.GAMMA_SCALE, Seed(seed))
+    return _banded_vs_logdp("partition/banded-vs-logdp-large", [env], need_zero=False)
 
 
 def check_greedy_equivalence(pairs: int = 2000, seed: int = 1003) -> CheckResult:
@@ -560,7 +573,7 @@ FAST_CHECKS = (
     check_exact_dp_vs_bruteforce,
     check_logdp_vs_exact,
     check_rank_one_vs_generic,
-    check_gamma_vs_logdp,
+    check_banded_vs_logdp,
     check_greedy_equivalence,
     check_skip_vector_injectivity,
     check_common_subsequence_oracle,
@@ -581,7 +594,7 @@ FAST_CHECKS = (
 )
 
 FULL_CHECKS = FAST_CHECKS + (
-    check_gamma_vs_logdp_large,
+    check_banded_vs_logdp_large,
     check_mc_strict_weak_band,
     check_mc_null_band,
     check_mc_planted_band,

@@ -26,7 +26,7 @@ from subseqlab.verify import (
     brute_embeddings,
     check_common_subsequence_oracle,
     check_exact_dp_vs_bruteforce,
-    check_gamma_vs_logdp,
+    check_banded_vs_logdp,
     check_greedy_equivalence,
     check_logdp_vs_exact,
     check_rank_one_vs_generic,
@@ -100,6 +100,17 @@ def test_log_dp_explicit_matrix_small():
     # Z[2,1] for weights [[w00],[w10]] is w00 + w10.
     env = ExplicitMatrix(np.array([[0.25], [4.0]]))
     assert math.isclose(math.exp(log_count_embeddings(env)), 4.25, rel_tol=1e-12)
+
+
+def test_explicit_matrix_rows_do_not_silence_the_caller():
+    # The divide-by-zero ignore covers the log only, not the caller's code
+    # that runs while the generator is suspended.
+    rows = ExplicitMatrix(np.array([[0.0, 1.0], [1.0, 1.0]])).log_weight_rows()
+    assert np.isneginf(next(rows)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning):
+            np.log(np.zeros(1))
 
 
 def test_bernoulli_half_performance_and_memory():
@@ -250,7 +261,7 @@ def test_gamma_environment_rows_positive():
     assert math.isfinite(logz1)
 
 
-def test_first_entry_read_after_update_fails_the_gamma_check(monkeypatch):
+def test_first_entry_read_after_update_fails_the_banded_check(monkeypatch):
     # The cell that enters the band computed from its neighbour's value after
     # this row's update instead of before it.
     real = partition._band_step
@@ -261,12 +272,12 @@ def test_first_entry_read_after_update_fails_the_gamma_check(monkeypatch):
             row[hi] = log_weights[hi - 1] + row[hi - 1]
 
     monkeypatch.setattr(partition, "_band_step", slipped)
-    assert not check_gamma_vs_logdp().passed
+    assert not check_banded_vs_logdp().passed
 
 
-def test_lower_band_edge_one_too_high_fails_the_gamma_check(monkeypatch):
+def test_lower_band_edge_one_too_high_fails_the_banded_check(monkeypatch):
     monkeypatch.setattr(partition, "_band_edges", lambda n, m, rows: (max(1, m - n + rows + 1), min(rows, m)))
-    assert not check_gamma_vs_logdp().passed
+    assert not check_banded_vs_logdp().passed
 
 
 def test_gamma_zero_draws_log_without_warning():
@@ -278,34 +289,30 @@ def test_gamma_zero_draws_log_without_warning():
     assert any(np.isneginf(row).any() for row in rows)
 
 
-def _gamma_on_rows(monkeypatch, weights):
-    """log Z of an IidGamma environment whose rows are replaced by log(weights),
-    by the banded kernel and by LogDPTable, with warnings as errors."""
-    with np.errstate(divide="ignore"):
-        log_rows = np.log(weights)
-    monkeypatch.setattr(IidGamma, "log_weight_rows", lambda self: iter(log_rows))
-    n, m = weights.shape
-    env = IidGamma(n, m, 1.0, 0.5, Seed(0))
-    table = LogDPTable(m)
-    for row in log_rows:
-        table.advance(row)
+def _banded_and_reference(weights):
+    """log Z of the weight matrix by the banded kernel and by LogDPTable, with
+    warnings as errors."""
+    env = ExplicitMatrix(weights)
+    table = LogDPTable(weights.shape[1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        for row in env.log_weight_rows():
+            table.advance(row)
         return log_count_embeddings(env), table.value
 
 
-def test_gamma_kernel_zero_weights(monkeypatch):
+def test_banded_kernel_zero_weights():
     rng = np.random.default_rng(41)
     # One zero on the diagonal at M = N: the only embedding has weight 0.
     diagonal = rng.gamma(1.0, 0.5, (6, 6))
     diagonal[3, 3] = 0.0
-    assert _gamma_on_rows(monkeypatch, diagonal) == (NEG_INF, NEG_INF)
+    assert _banded_and_reference(diagonal) == (NEG_INF, NEG_INF)
     # Interior zeros, including a zero first column down to row 5, so that
     # cells with both operands Z = 0 lie in the band.
     interior = rng.gamma(1.0, 0.5, (40, 15))
     interior[rng.random(interior.shape) < 0.3] = 0.0
     interior[:6, 0] = 0.0
-    fast, ref = _gamma_on_rows(monkeypatch, interior)
+    fast, ref = _banded_and_reference(interior)
     assert math.isfinite(ref)
     assert math.isclose(fast, ref, rel_tol=1e-12)
 
