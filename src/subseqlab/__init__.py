@@ -7,9 +7,9 @@ from .partition import (
     IidGamma,
     LogDPTable,
     RankOneIndicator,
-    SkipVector,
     count_common_subsequences,
     count_embeddings_exact,
+    embedding_from_skips,
     greedy_embed,
     log_count_embeddings,
     skip_vector_of,

@@ -37,7 +37,6 @@ scores are the same bits.  The tables are freed when the score returns.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -45,10 +44,10 @@ import numpy as np
 
 from .capacity import beta_star
 from .core import (
-    _FUZZ,
     BitString,
     Seed,
     embedded_length,
+    exact_floor,
     is_typical,
     sample_planted,
     sample_uniform_string,
@@ -105,31 +104,30 @@ class AlignmentParams:
 
     @property
     def induced_budget(self) -> int:
-        return int(math.floor(self.gamma * self.big_b + _FUZZ))
+        return exact_floor(self.gamma * self.big_b)
 
     @property
     def standardized_budget(self) -> int:
-        return int(math.floor(3.0 * self.gamma * self.big_b + _FUZZ))
+        return exact_floor(3.0 * self.gamma * self.big_b)
 
     @property
     def scan_cap(self) -> int:
         # Longest run of conforming blocks the standardization pass reads
         # before forcing a stop ("counter capped at b^epsilon").
-        return max(1, int(math.floor(self.b**self.epsilon + _FUZZ)))
+        return max(1, exact_floor(self.b**self.epsilon))
 
     def window_ints(self):
         """Smallest and largest integer lengths in the induced window, clipped to [0, b]."""
         ab = self.alpha * self.b
-        lo = max(0, int(math.ceil((1.0 - self.delta) * ab - _FUZZ)))
-        hi = min(self.b, int(math.floor((1.0 + self.delta) * ab + _FUZZ)))
+        lo = max(0, -exact_floor(-(1.0 - self.delta) * ab))
+        hi = min(self.b, exact_floor((1.0 + self.delta) * ab))
         return lo, hi
 
     def std_targets(self) -> np.ndarray:
         """Per-index block-length targets: the rounding of alpha*b whose prefix
         sums stay within 1 of alpha*b*k."""
         ab = self.alpha * self.b
-        cum = np.floor(ab * np.arange(self.big_b + 1) + _FUZZ).astype(np.int64)
-        return np.diff(cum)
+        return np.diff([exact_floor(ab * k) for k in range(self.big_b + 1)])
 
 
 def displacement(z: BitString) -> int:
@@ -170,22 +168,33 @@ class Partition:
         return [y[off[i]:off[i + 1]] for i in range(len(self.block_lengths))]
 
 
-def is_induced_member(part: Partition, m: int, params: AlignmentParams) -> bool:
+def _family(params: AlignmentParams, standardized: bool):
+    """A family's rule: the (B, b+1) table of conforming (block, length)
+    pairs, and the budget of blocks that may be off it.  Induced blocks
+    conform inside the window, standardized ones at their index's target."""
+    lengths = np.arange(params.b + 1)
+    if standardized:
+        return lengths == params.std_targets()[:, None], params.standardized_budget
+    lo, hi = params.window_ints()
+    window = (lo <= lengths) & (lengths <= hi)
+    return np.broadcast_to(window, (params.big_b, params.b + 1)), params.induced_budget
+
+
+def _is_member(part: Partition, m: int, params: AlignmentParams, standardized: bool) -> bool:
+    # B blocks summing to m, each at most b, and at most the budget off the family.
     lens = part.block_lengths
     if len(lens) != params.big_b or sum(lens) != m or any(v > params.b for v in lens):
         return False
-    lo, hi = params.window_ints()
-    exceptional = sum(1 for v in lens if not lo <= v <= hi)
-    return exceptional <= params.induced_budget
+    conforming, budget = _family(params, standardized)
+    return np.count_nonzero(~conforming[np.arange(len(lens)), lens]) <= budget
+
+
+def is_induced_member(part: Partition, m: int, params: AlignmentParams) -> bool:
+    return _is_member(part, m, params, standardized=False)
 
 
 def is_standardized_member(part: Partition, m: int, params: AlignmentParams) -> bool:
-    lens = part.block_lengths
-    if len(lens) != params.big_b or sum(lens) != m or any(v > params.b for v in lens):
-        return False
-    targets = params.std_targets()
-    off_target = sum(1 for v, t in zip(lens, targets) if v != t)
-    return off_target <= params.standardized_budget
+    return _is_member(part, m, params, standardized=True)
 
 
 def average_local_alignment(x: BitString, y: BitString, part: Partition, params: AlignmentParams) -> float:
@@ -237,13 +246,7 @@ def _dp_inputs(x: BitString, y: BitString, params: AlignmentParams, standardized
         raise ValueError(f"dimension mismatch: |y|={m} exceeds B*b={big_b * b}")
     tables = _gain_tables(y, params)
     gains = [tables[s] for s in _block_signs(x, params)]
-    budget = params.standardized_budget if standardized else params.induced_budget
-    lengths = np.arange(b + 1)
-    if standardized:
-        conforming = lengths == params.std_targets()[:, None]
-    else:
-        lo_w, hi_w = params.window_ints()
-        conforming = np.broadcast_to((lo_w <= lengths) & (lengths <= hi_w), (big_b, b + 1))
+    conforming, budget = _family(params, standardized)
     return (gains, conforming), max(0, big_b - budget)
 
 
@@ -347,58 +350,37 @@ def is_good(x: BitString, y: BitString, params: AlignmentParams) -> bool:
 def standardize(y: BitString, part: Partition, params: AlignmentParams) -> Partition:
     """Map an induced partition to a standardized one.
 
-    Left-to-right scan: read conforming blocks, stopping at the first
-    exceptional block, after scan_cap conforming blocks, or at the last block.
-    Within each run the interior blocks are set to their target lengths, one
-    designated block absorbs the slack so the concatenated prefix is preserved
-    at every stop, and exceptional stop blocks are copied verbatim (an
-    exceptional first block of a run is therefore copied with an empty
+    Left-to-right scan in runs: a run stops at its first exceptional block,
+    after scan_cap conforming blocks, or at the last block.  An exceptional
+    stop block is copied verbatim; the block before it, or else the stop
+    block itself, is the run's slack block.  The blocks before the slack
+    block take their target lengths and the slack block takes the rest of the
+    run's length, so the concatenated prefix is preserved at every stop (an
+    exceptional first block of a run has no slack block and an empty
     standardized prefix).
     """
-    big_b, b = params.big_b, params.b
     if not is_induced_member(part, len(y), params):
         raise ValueError("invalid input partition: not an induced near-equipartition")
     lens = part.block_lengths
+    big_b, cap = params.big_b, params.scan_cap
     lo, hi = params.window_ints()
-    exceptional = [not lo <= v <= hi for v in lens]
-    targets = params.std_targets()
-    cap = params.scan_cap
-    out = [0] * big_b
+    targets = params.std_targets().tolist()
+    out = list(lens)
     start = 0  # index of the first unprocessed block
     while start < big_b:
-        # Scan the next run.
-        j = start
-        conforming_seen = 0
-        while True:
-            if exceptional[j]:
-                break
-            conforming_seen += 1
-            if conforming_seen >= cap or j == big_b - 1:
-                break
-            j += 1
-        run_total = sum(lens[start:j + 1])
-        if exceptional[j]:
-            # Interior blocks at target, the one before the stop absorbs the
-            # slack, the exceptional block itself is copied bit-for-bit.
-            mid_total = 0
-            for k in range(start, j - 1):
-                out[k] = int(targets[k])
-                mid_total += out[k]
-            if j > start:
-                out[j - 1] = run_total - lens[j] - mid_total
-            out[j] = lens[j]
-        else:
-            mid_total = 0
-            for k in range(start, j):
-                out[k] = int(targets[k])
-                mid_total += out[k]
-            out[j] = run_total - mid_total
-        if out[j] < 0 or out[j] > b or (j > start and (out[j - 1] < 0 or out[j - 1] > b)):
-            raise ValueError(
-                "standardization slack fell outside [0, b]; the window parameters "
-                "are too tight for this block length"
-            )
-        start = j + 1
+        stop = start
+        while lo <= lens[stop] <= hi and stop - start + 1 < cap and stop < big_b - 1:
+            stop += 1
+        slack = stop if lo <= lens[stop] <= hi else stop - 1
+        if slack >= start:
+            out[start:slack] = targets[start:slack]
+            out[slack] = sum(lens[start:slack + 1]) - sum(targets[start:slack])
+            if not 0 <= out[slack] <= params.b:
+                raise ValueError(
+                    "standardization slack fell outside [0, b]; the window parameters "
+                    "are too tight for this block length"
+                )
+        start = stop + 1
     return Partition(tuple(out))
 
 
@@ -470,24 +452,22 @@ def alignment_trials(alpha: float, b: int, n: int, trials: int, seed: Seed):
     one pair runs before the next draw.
     """
     m = embedded_length(alpha, n)
-    exhausted = f"no typical ambient string at b = {b} in {TYPICAL_RETRIES} draws"
+
+    def first_typical(draw, ambient, stream):
+        # The first of the draws from substreams stream, stream + 1, ... whose
+        # ambient string is typical.
+        for retry in range(TYPICAL_RETRIES):
+            d = draw(seed.substream(stream + retry))
+            if is_typical(ambient(d), b):
+                return d
+        raise ValueError(f"no typical ambient string at b = {b} in {TYPICAL_RETRIES} draws")
+
     for t in range(trials):
         base = 1000 * t
-        # Planted trial: resample until the ambient string is typical.
-        for retry in range(TYPICAL_RETRIES):
-            d = sample_planted(n, m, seed.substream(base + retry))
-            if is_typical(d.x, b):
-                break
-        else:
-            raise ValueError(exhausted)
+        d = first_typical(lambda s: sample_planted(n, m, s), lambda d: d.x, base)
         yield "planted", d.x, d.y
         # Null trial: independent typical x and uniform y.
-        for retry in range(TYPICAL_RETRIES):
-            x = sample_uniform_string(n, seed.substream(base + 100 + retry))
-            if is_typical(x, b):
-                break
-        else:
-            raise ValueError(exhausted)
+        x = first_typical(lambda s: sample_uniform_string(n, s), lambda x: x, base + 100)
         yield "null", x, sample_uniform_string(m, seed.substream(base + 200))
 
 

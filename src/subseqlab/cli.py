@@ -13,14 +13,15 @@ errors (checked before any work runs).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
-import subprocess
+import platform
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from . import __version__
 from .alignment import alignment_experiment
@@ -32,44 +33,19 @@ from .svg import render_line_chart
 from . import verify as verify_mod
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echoed into JSON output so runs are self-describing."""
-
-    command: str
-    grid: tuple = ()
-    n: int = 0
-    samples: int = 0
-    seed: int = 42
-    bits: bool = False
-    fmt: str = "csv"
-
-
-def _version_string() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=5,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
-    except Exception:
-        pass
-    return f"subseqlab-{__version__}"
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return "%.12g" % value
     return str(value)
 
 
-def _write_table(header, rows, config: RunConfig, out_path: Optional[str]):
-    if config.fmt == "json":
+def _write_table(header, rows, args):
+    """Write the table to args.out or stdout; JSON echoes the parsed arguments
+    and the package, Python and numpy versions."""
+    if args.format == "json":
         doc = {
-            "config": dataclasses.asdict(config),
-            "version": _version_string(),
+            "config": {k: v for k, v in vars(args).items() if k not in ("fn", "out", "svg")},
+            "version": {"subseqlab": __version__, "python": platform.python_version(), "numpy": np.__version__},
             "rows": [dict(zip(header, row)) for row in rows],
         }
         text = json.dumps(doc, indent=2) + "\n"
@@ -77,8 +53,8 @@ def _write_table(header, rows, config: RunConfig, out_path: Optional[str]):
         lines = [",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -167,14 +143,11 @@ FIGURES = {
 
 def cmd_figure(args) -> int:
     figure = FIGURES[args.command]
-    grid = figure.check_grid(_parse_grid(args.grid))
-    spec = CurveSpec(grid=grid, n=args.n, samples=args.samples, seed=Seed(args.seed))
-    config = RunConfig(
-        command=args.command, grid=spec.grid, n=spec.n, samples=spec.samples,
-        seed=args.seed, bits=args.bits, fmt=args.format,
-    )
+    # Parsed in place, so the JSON echo shows the grid that ran.
+    args.grid = figure.check_grid(_parse_grid(args.grid))
+    spec = CurveSpec(grid=args.grid, n=args.n, samples=args.samples, seed=Seed(args.seed))
     rows = figure.rows(spec, _unit_scale(args.bits))
-    _write_table(figure.header, rows, config, args.out)
+    _write_table(figure.header, rows, args)
     if args.svg:
         chart = render_line_chart(
             [
@@ -192,16 +165,12 @@ def cmd_figure(args) -> int:
 
 def cmd_alignment_experiment(args) -> int:
     result = alignment_experiment(args.alpha, args.b, args.n, args.trials, Seed(args.seed))
-    config = RunConfig(
-        command="alignment-experiment", grid=(args.alpha,), n=args.n,
-        samples=args.trials, seed=args.seed, fmt=args.format,
-    )
     header = ["law", "trials", "good_count", "good_frequency"]
     rows = [
         ("planted", result.trials, result.planted_good, result.planted_frequency),
         ("null", result.trials, result.null_good, result.null_frequency),
     ]
-    _write_table(header, rows, config, args.out)
+    _write_table(header, rows, args)
     return 0
 
 

@@ -22,18 +22,23 @@ _U64 = 1 << 64
 _FUZZ = 1e-9  # guards floors of products like alpha*n against float dust
 
 
-def embedded_length(alpha: float, n: int) -> int:
-    """M = floor(alpha * n), the floor taken of the exact decimal product.
+def exact_floor(v: float) -> int:
+    """floor(v) for a float v that stands for an exact product, such as alpha * n.
 
     A float alpha such as 1 - 0.9 = 0.09999999999999998 would floor one short
-    (alpha * 10 = 0.9999999999999998), so the product is nudged by _FUZZ
-    before flooring.  For an alpha within a few ulps of a decimal with at
-    most eight digits after the point, and n <= 10^6, the nudge exceeds the
-    float error of the product and stays below the distance from any
-    non-integer product to the next integer, so the result is the floor of
-    the exact decimal product.
+    (alpha * 10 = 0.9999999999999998), so v is nudged by _FUZZ before
+    flooring.  For an alpha within a few ulps of a decimal with at most eight
+    digits after the point, and n <= 10^6, the nudge exceeds the float error
+    of the product and stays below the distance from any non-integer product
+    to the next integer, so the result is the floor of the exact decimal
+    product.  The ceiling of such a v is -exact_floor(-v).
     """
-    return int(math.floor(alpha * n + _FUZZ))
+    return int(math.floor(v + _FUZZ))
+
+
+def embedded_length(alpha: float, n: int) -> int:
+    """M = floor(alpha * n), the floor taken of the exact decimal product."""
+    return exact_floor(alpha * n)
 
 
 @dataclass(frozen=True)

@@ -356,15 +356,10 @@ def _corridor(x: BitString, y: BitString):
     return left, right
 
 
-@dataclass(frozen=True)
-class SkipVector:
-    """Per-position skip counts relative to the greedy embedding."""
-
-    skips: tuple
-
-    @property
-    def total(self) -> int:
-        return sum(self.skips)
+def _rank(bits: np.ndarray) -> np.ndarray:
+    """rank[b, t] = number of positions before t holding bit b."""
+    ones = np.concatenate(([0], np.cumsum(bits, dtype=np.int64)))
+    return np.stack((np.arange(len(bits) + 1) - ones, ones))
 
 
 def _validate_embedding(x: BitString, y: BitString, sigma) -> np.ndarray:
@@ -378,50 +373,36 @@ def _validate_embedding(x: BitString, y: BitString, sigma) -> np.ndarray:
     return sig
 
 
-def skip_vector_of(x: BitString, y: BitString, sigma) -> SkipVector:
+def skip_vector_of(x: BitString, y: BitString, sigma) -> tuple:
     """Injective encoding of an embedding: entry i counts the occurrences of
     y_i that sigma passes over beyond the earliest available one."""
     sig = _validate_embedding(x, y, sigma)
-    xb = x.bits
-    n = len(x)
-    next_occ = _next_occurrence(xb)
-    # prefix_occ[b][t] = number of positions < t holding bit b.
-    prefix_occ = np.zeros((2, n + 1), dtype=np.int64)
-    prefix_occ[0, 1:] = np.cumsum(xb == 0)
-    prefix_occ[1, 1:] = np.cumsum(xb == 1)
-    skips = []
-    prev = -1
-    for i, bit in enumerate(y.bits):
-        earliest = next_occ[bit, prev + 1]
-        chosen = sig[i]
-        skips.append(int(prefix_occ[bit, chosen + 1] - prefix_occ[bit, earliest + 1]))
-        prev = chosen
-    return SkipVector(tuple(skips))
+    ybits = y.bits
+    # The earliest available occurrence of y_i is the first at or after sigma_{i-1} + 1.
+    earliest = _next_occurrence(x.bits)[ybits, np.append(0, sig + 1)[:-1]]
+    rank = _rank(x.bits)
+    return tuple((rank[ybits, sig] - rank[ybits, earliest]).tolist())
 
 
-def embedding_from_skips(x: BitString, y: BitString, v: SkipVector) -> Optional[np.ndarray]:
-    """Positional simulation inverting skip_vector_of; None when v is not
-    realizable within |x|."""
-    if len(v.skips) != len(y):
+def embedding_from_skips(x: BitString, y: BitString, v: tuple) -> Optional[np.ndarray]:
+    """The embedding whose skip vector is v (inverting skip_vector_of); None
+    when v is not realizable within |x|."""
+    if len(v) != len(y):
         raise ValueError("skip vector length must equal |y|")
-    xb = x.bits
-    n = len(x)
+    if min(v, default=0) < 0:
+        raise ValueError("skip vector entries must be non-negative")
+    rank = memoryview(_rank(x.bits))
+    positions = [np.flatnonzero(x.bits == b).tolist() for b in (0, 1)]
     out = np.empty(len(y), dtype=np.int64)
     t = 0
-    for i, bit in enumerate(y.bits):
-        remaining = v.skips[i]
-        pos = -1
-        while t < n:
-            if xb[t] == bit:
-                if remaining == 0:
-                    pos = t
-                    t += 1
-                    break
-                remaining -= 1
-            t += 1
-        if pos < 0:
+    # y_i goes to the (v_i + 1)-th occurrence of its bit at or after t, the
+    # position after y_{i-1}'s.
+    for i, (bit, skip) in enumerate(zip(y.bits.tolist(), v)):
+        j = rank[bit, t] + skip
+        if j >= len(positions[bit]):
             return None
-        out[i] = pos
+        out[i] = positions[bit][j]
+        t = positions[bit][j] + 1
     return out
 
 

@@ -266,12 +266,12 @@ def check_skip_vector_injectivity(pairs: int = 40, seed: int = 1004) -> CheckRes
         seen = {}
         for comb in brute_embeddings(x, y):
             v = skip_vector_of(x, y, list(comb))
-            if v.skips in seen:
-                return _result(name, False, f"collision {v.skips}")
-            seen[v.skips] = comb
+            if v in seen:
+                return _result(name, False, f"collision {v}")
+            seen[v] = comb
             back = embedding_from_skips(x, y, v)
             if back is None or tuple(int(i) for i in back) != comb:
-                return _result(name, False, f"{v.skips} decodes to {back!r}, not {comb} at {x!r}, {y!r}")
+                return _result(name, False, f"{v} decodes to {back!r}, not {comb} at {x!r}, {y!r}")
     return _result(name, True, f"exhaustive round trip, {pairs} pairs, n <= 10")
 
 

@@ -256,6 +256,17 @@ def test_standardize_rejects_non_induced_input():
         standardize(y, Partition((8, 8, 0, 0)), params)  # two exceptional blocks
 
 
+def test_standardize_rejects_slack_past_b():
+    # eps = 1/2: the window is [0, 8], so every block conforms, and the cap is
+    # 2.  The first run is blocks 0 and 1: block 0 takes its target 4 and the
+    # slack block 1 would take 16 - 4 = 12 > b.
+    params = quiet_params(alpha=0.5, b=8, n=32, epsilon=0.5)
+    part = Partition((8, 8, 0, 0))
+    assert is_induced_member(part, 16, params)
+    with pytest.raises(ValueError, match=r"slack fell outside \[0, b\]"):
+        standardize(BitString.ones(16), part, params)
+
+
 def test_standardize_soundness_many_random_partitions():
     result = check_standardize_soundness(seed=9)
     assert result.passed, result.detail

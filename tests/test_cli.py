@@ -113,10 +113,27 @@ def test_figure1_smoke_with_svg_and_json(tmp_path):
     )
     doc = json.loads(out.stdout)
     assert doc["config"]["command"] == "figure1"
+    assert doc["config"]["grid"] == [0.0, 0.5]
     assert doc["config"]["seed"] == 42
     assert "version" in doc
     assert len(doc["rows"]) == 2
     assert doc["rows"][0]["p"] == 0.0
+
+
+def test_json_echoes_the_arguments_and_starts_no_process(monkeypatch, capsys):
+    def no_process(*args, **kwargs):
+        raise AssertionError("JSON output started a process")
+
+    monkeypatch.setattr(subprocess, "run", no_process)
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    rc = main(["alignment-experiment", "--b", "16", "--n", "320", "--trials", "1", "--seed", "5", "--format", "json"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"] == {
+        "command": "alignment-experiment", "alpha": 0.5, "b": 16, "n": 320, "trials": 1, "seed": 5, "format": "json"
+    }
+    assert set(doc["version"]) == {"subseqlab", "python", "numpy"}
+    assert [row["law"] for row in doc["rows"]] == ["planted", "null"]
 
 
 def test_figure1_bits_flag_divides_by_ln2(tmp_path):

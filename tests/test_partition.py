@@ -14,7 +14,6 @@ from subseqlab.partition import (
     IidGamma,
     LogDPTable,
     RankOneIndicator,
-    SkipVector,
     count_common_subsequences,
     count_embeddings_exact,
     embedding_from_skips,
@@ -191,8 +190,8 @@ def test_skip_vector_examples():
     x = BitString.from_text("10110")
     y = BitString.from_text("11")
     g = greedy_embed(x, y)
-    assert skip_vector_of(x, y, g).skips == (0, 0)
-    assert skip_vector_of(BitString.from_text("000"), BitString.from_text("0"), [2]).skips == (2,)
+    assert skip_vector_of(x, y, g) == (0, 0)
+    assert skip_vector_of(BitString.from_text("000"), BitString.from_text("0"), [2]) == (2,)
     with pytest.raises(ValueError):
         skip_vector_of(x, y, [0, 1])  # x[1] = 0 != y[1]
 
@@ -205,7 +204,18 @@ def test_skip_vector_injective_and_invertible_exhaustive():
 def test_skip_vector_unrealizable():
     x = BitString.from_text("0101")
     y = BitString.from_text("01")
-    assert embedding_from_skips(x, y, SkipVector((5, 0))) is None
+    assert embedding_from_skips(x, y, (5, 0)) is None
+    assert embedding_from_skips(x, y, (0, 1)).tolist() == [0, 3]
+    assert embedding_from_skips(x, y, (1, 1)) is None  # one 1 after the second 0
+
+
+def test_skip_vector_decoding_rejects_bad_vectors():
+    x = BitString.from_text("0101")
+    y = BitString.from_text("01")
+    with pytest.raises(ValueError, match="length"):
+        embedding_from_skips(x, y, (0,))
+    with pytest.raises(ValueError, match="non-negative"):
+        embedding_from_skips(x, y, (0, -1))
 
 
 def test_skip_vector_total_bound():
@@ -216,7 +226,7 @@ def test_skip_vector_total_bound():
         x = BitString(rng.integers(0, 2, n, dtype=np.uint8))
         y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
         for comb in brute_embeddings(x, y):
-            assert skip_vector_of(x, y, list(comb)).total <= n - m
+            assert sum(skip_vector_of(x, y, list(comb))) <= n - m
 
 
 def test_common_subsequences_trivial():
