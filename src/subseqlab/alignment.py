@@ -27,12 +27,14 @@ Both are exact in floats: rounding is monotone, so a max-plus DP returns the
 largest left-to-right float sum over its paths, and a certified witness lies in
 the family and attains the unconstrained largest sum.
 
-A block's gain depends only on its x-block's sign and its own length and start
+A block's gain depends only on its x-block's sign and its own length and end
 in y, so each score builds two (min(b, |y|) + 1) x (|y| + 1) float64 gain
-tables, one per sign (3.3 MB at b = 64, |y| = 3200), and both sweeps and the
-witness read them instead of recomputing the clip per (block, length).  Each
-cell is the clip expression evaluated with the same float operations, so the
-scores are the same bits.  The tables are freed when the score returns.
+tables indexed by (length, end), one per sign (3.3 MB at b = 64, 53 MB at
+b = 256), and both sweeps and the witness read them.  Each cell is the clip
+expression evaluated with the same float operations, so the scores are the
+same bits.  The sweep takes each block's lengths in chunks, one numpy add and
+one max per chunk, through a scratch buffer of _SCRATCH floats (512 kB), so
+its working set beyond the tables and the DP rows is bounded at every b.
 """
 
 from __future__ import annotations
@@ -169,15 +171,13 @@ class Partition:
 
 
 def _family(params: AlignmentParams, standardized: bool):
-    """A family's rule: the (B, b+1) table of conforming (block, length)
-    pairs, and the budget of blocks that may be off it.  Induced blocks
+    """A family's rule: the (B, 2) table of each block's conforming lengths
+    [lo, hi], and the budget of blocks that may be off it.  Induced blocks
     conform inside the window, standardized ones at their index's target."""
-    lengths = np.arange(params.b + 1)
     if standardized:
-        return lengths == params.std_targets()[:, None], params.standardized_budget
-    lo, hi = params.window_ints()
-    window = (lo <= lengths) & (lengths <= hi)
-    return np.broadcast_to(window, (params.big_b, params.b + 1)), params.induced_budget
+        targets = params.std_targets()
+        return np.stack([targets, targets], axis=1), params.standardized_budget
+    return np.tile(params.window_ints(), (params.big_b, 1)), params.induced_budget
 
 
 def _is_member(part: Partition, m: int, params: AlignmentParams, standardized: bool) -> bool:
@@ -186,7 +186,7 @@ def _is_member(part: Partition, m: int, params: AlignmentParams, standardized: b
     if len(lens) != params.big_b or sum(lens) != m or any(v > params.b for v in lens):
         return False
     conforming, budget = _family(params, standardized)
-    return np.count_nonzero(~conforming[np.arange(len(lens)), lens]) <= budget
+    return np.count_nonzero((conforming[:, 0] > lens) | (conforming[:, 1] < lens)) <= budget
 
 
 def is_induced_member(part: Partition, m: int, params: AlignmentParams) -> bool:
@@ -217,27 +217,29 @@ def _block_signs(x: BitString, params: AlignmentParams) -> np.ndarray:
 
 def _gain_tables(y: BitString, params: AlignmentParams) -> dict:
     """The local alignment of every y-block against an x-block of each majority
-    sign s = +-1: tables[s][L, p] = clip(delta * s * (walk[p+L] - walk[p]), 0, 1)
-    for the +-1 prefix walk of y, 0 <= L <= min(b, |y|) and p + L <= |y|; the
-    cells with p + L > |y| hold NaN.  Two (min(b, |y|) + 1) x (|y| + 1) float64
-    tables, since a block's gain depends on its sign, length and start only."""
-    m = len(y)
-    steps = 2 * y.bits.astype(np.int64) - 1
-    prefix = np.concatenate([[0], np.cumsum(steps)]).astype(np.float64)
-    tables = {}
-    for s in (1.0, -1.0):
-        table = np.full((min(params.b, m) + 1, m + 1), np.nan)
-        for length in range(len(table)):
-            gain = params.delta * s * (prefix[length:] - prefix[:m + 1 - length])
-            np.clip(gain, 0.0, 1.0, out=table[length, :m + 1 - length])
-        tables[s] = table
-    return tables
+    sign s = +-1, by where the block ends: tables[s][L, p] = clip(delta * s *
+    (walk[p] - walk[p-L]), 0, 1) for the +-1 prefix walk of y, 0 <= L <=
+    min(b, |y|) and L <= p <= |y|, and -inf for p < L.  Each (min(b, |y|) + 1)
+    x (|y| + 1) float64 table is built in place, with no temporary its size."""
+    m, k = len(y), min(params.b, len(y))
+    walk = np.concatenate([np.zeros(k + 1), np.cumsum(2 * y.bits.astype(np.int64) - 1)])  # k zeros, then the walk
+    # behind[L, p] = walk[p - L] for p >= L (and 0 for p < L)
+    behind = np.lib.stride_tricks.as_strided(walk[k:], (k + 1, m + 1), (-8, 8), writeable=False)
+    plus, minus = np.empty((k + 1, m + 1)), np.empty((k + 1, m + 1))
+    np.subtract(walk[k:], behind, out=plus)
+    np.multiply(params.delta * -1.0, plus, out=minus)
+    np.multiply(params.delta * 1.0, plus, out=plus)
+    for table in (plus, minus):
+        np.clip(table, 0.0, 1.0, out=table)
+        for length in range(1, k + 1):
+            table[length, :length] = NEG_INF
+    return {1.0: plus, -1.0: minus}
 
 
 def _dp_inputs(x: BitString, y: BitString, params: AlignmentParams, standardized: bool):
     """The sweep's inputs (each x-block's gain table, by reference into the two
-    per-sign tables, and the (B, b+1) table of conforming (block, length)
-    pairs) and the conforming blocks required."""
+    per-sign tables, and the (B, 2) table of each block's conforming lengths)
+    and the conforming blocks required."""
     b, big_b = params.b, params.big_b
     if len(x) // b != big_b:
         raise ValueError("dimension mismatch: params were built for a different ambient length")
@@ -250,43 +252,66 @@ def _dp_inputs(x: BitString, y: BitString, params: AlignmentParams, standardized
     return (gains, conforming), max(0, big_b - budget)
 
 
+# Candidate sums per np.add in the sweep: 512 kB, which a second-level cache holds.
+_SCRATCH = 2**16
+
+
 def _sweep(gains, conforming, rows: int):
     """The block sweep with `rows` rows of conforming-block counts; one row
     drops the conforming requirement.  Yields (lo, f[:, lo:hi+1]) for the
     start state and after each block.
 
     f[c, p] is the best gain with p symbols of y consumed in c conforming
-    blocks (capped at rows - 1).  After i blocks only p in [m - (B-i)*b, i*b]
-    can reach f[rows - 1, m], so block i reads that window and writes the one
-    for i+1; the cells it skips stay -inf and are never read.  Block i's gains
-    for length L are the row slice gains[i][L, lo:hi], a view into its sign's
-    (min(b, m) + 1) x (m + 1) table built once per score; each cell is the
-    clip of the local alignment itself, so the sums are the same bits as a
-    sweep that evaluates the clip at every step.
+    blocks (capped at rows - 1).  After i blocks only p in [m - (B-i)*k, i*k]
+    can reach f[rows - 1, m], for k = min(b, m), so block i writes that window
+    for i+1; every other cell stays -inf.  f is stored after k leading -inf
+    columns, so f[:, p - L] for all lags L in [0, k] is one strided view, and
+    new[:, p] is the max over L of f[:, p - L] + gains[i][L, p], taken over
+    chunks of lengths (and tiles of p) that fill the scratch buffer.  A
+    multi-row sweep reduces a block's conforming lengths, which move to the
+    next count row, apart from the others.  The sums are the ones a
+    length-by-length loop forms (plus -inf out of reach) and max is exact, so
+    the bands are the same bits.
     """
-    (big_b, width), m = conforming.shape, gains[0].shape[1] - 1
-    b, top = width - 1, rows - 1
-    f = np.full((rows, m + 1), NEG_INF)
-    f[0, 0] = 0.0
-    yield 0, f[:, :1]
+    big_b, top = len(conforming), rows - 1
+    k, m = gains[0].shape[0] - 1, gains[0].shape[1] - 1
+    scratch = np.empty(max(_SCRATCH, rows))
+    reduced = np.empty((rows, min(m + 1, len(scratch) // (2 * rows))))
+    f = np.full((rows, k + m + 1), NEG_INF)
+    f[0, k] = 0.0
+    yield 0, f[:, k:k + 1]
     for i in range(big_b):
-        table = gains[i]
+        lo, hi = max(0, m - (big_b - i - 1) * k), min(m, (i + 1) * k)
+        w = hi - lo + 1
+        # lagged[c, L, j] = f[c, lo + j - L]
+        lagged = np.lib.stride_tricks.as_strided(
+            f[:, k + lo:], (rows, k + 1, w), (f.strides[0], -8, 8), writeable=False)
+        table = gains[i][:, lo:hi + 1]
         new = np.full_like(f, NEG_INF)
-        src_lo, src_hi = max(0, m - (big_b - i) * b), min(m, i * b)
-        dst_lo, dst_hi = max(0, m - (big_b - i - 1) * b), min(m, (i + 1) * b)
-        for length in range(0, min(b, m) + 1):
-            lo, hi = max(src_lo, dst_lo - length), min(src_hi, dst_hi - length) + 1
-            if lo >= hi:
-                continue
-            cand = f[:, lo:hi] + table[length, lo:hi]
-            out = new[:, lo + length:hi + length]
-            if top and conforming[i, length]:
-                np.maximum(out[1:], cand[:-1], out=out[1:])
-                np.maximum(out[top], cand[top], out=out[top])
-            else:
-                np.maximum(out, cand, out=out)
+        out = new[:, k + lo:k + hi + 1]
+        c_lo, c_hi = max(0, conforming[i, 0]), min(k, conforming[i, 1])
+        segments = [(0, k + 1, False)]
+        if top and c_lo <= c_hi:
+            segments = [(0, c_lo, False), (c_lo, c_hi + 1, True), (c_hi + 1, k + 1, False)]
+        tile = min(w, len(scratch) // rows)
+        step = len(scratch) // (rows * tile)
+        for first, stop, conf in segments:
+            for j in range(0, w, tile):
+                dst = out[:, j:j + tile]
+                span = dst.shape[1]
+                for a in range(first, stop, step):
+                    n = min(step, stop - a)
+                    cand = scratch[:rows * n * span].reshape(rows, n, span)
+                    np.add(lagged[:, a:a + n, j:j + span], table[a:a + n, j:j + span], out=cand)
+                    if n > 1:
+                        cand = np.maximum.reduce(cand, axis=1, out=reduced[:, :span])[:, None]
+                    if conf:
+                        np.maximum(dst[1:], cand[:-1, 0], out=dst[1:])
+                        np.maximum(dst[top], cand[top, 0], out=dst[top])
+                    else:
+                        np.maximum(dst, cand[:, 0], out=dst)
         f = new
-        yield dst_lo, f[:, dst_lo:dst_hi + 1]
+        yield lo, out
 
 
 def _witness_conforming(history, gains, conforming) -> int:
@@ -295,12 +320,12 @@ def _witness_conforming(history, gains, conforming) -> int:
     lengths attain it, a conforming one is taken.  The gains are read from the
     sweep's own per-sign tables, so each sum is bit-for-bit the one the sweep
     formed and the match against cur[p] is exact."""
-    p, count = gains[0].shape[1] - 1, 0
+    k, p, count = gains[0].shape[0] - 1, gains[0].shape[1] - 1, 0
     for i in range(len(gains) - 1, -1, -1):
         (prev_lo, prev), (cur_lo, cur) = history[i], history[i + 1]
-        q = np.arange(max(prev_lo, p - conforming.shape[1] + 1), min(prev_lo + len(prev) - 1, p) + 1)
-        hit = prev[q - prev_lo] + gains[i][p - q, q] == cur[p - cur_lo]
-        conf = hit & conforming[i, p - q]
+        q = np.arange(max(prev_lo, p - k), min(prev_lo + len(prev) - 1, p) + 1)
+        hit = prev[q - prev_lo] + gains[i][p - q, p] == cur[p - cur_lo]
+        conf = hit & (conforming[i, 0] <= p - q) & (p - q <= conforming[i, 1])
         if conf.any():
             count, hit = count + 1, conf
         p = int(q[np.argmax(hit)])

@@ -421,9 +421,9 @@ def check_alignment_small_oracle(seed: int = 1006) -> CheckResult:
 
 def check_alignment_gain_table(seed: int = 1010) -> CheckResult:
     """Every cell of both per-sign gain tables `==` the clip expression
-    evaluated in Python floats from y's +-1 walk, and the unused cells NaN, for
-    b in {1, 2, 7, 16, 64}, |y| in {0, 1, b - 1, B*b/2, B*b} at B = 4, and an
-    eps at which delta * d saturates at 1 (eps = 1/2, delta = 1)."""
+    evaluated in Python floats from y's +-1 walk, and the cells with p < L
+    -inf, for b in {1, 2, 7, 16, 64}, |y| in {0, 1, b - 1, B*b/2, B*b} at
+    B = 4, and an eps at which delta * d saturates at 1 (eps = 1/2, delta = 1)."""
     name = "alignment/gain-table"
     rng = np.random.default_rng(seed)
     big_b, cells = 4, 0
@@ -445,11 +445,11 @@ def check_alignment_gain_table(seed: int = 1010) -> CheckResult:
                             return _result(name, False, f"shape {table.shape} {table.dtype} at {where}")
                         for length in range(min(b, m) + 1):
                             for p in range(m + 1):
-                                cell, end = table[length, p], p + length
-                                if end > m:
-                                    ok = math.isnan(cell)
+                                cell = table[length, p]
+                                if p < length:
+                                    ok = cell == float("-inf")
                                 else:
-                                    ok = cell == min(max(params.delta * s * (walk[end] - walk[p]), 0.0), 1.0)
+                                    ok = cell == min(max(params.delta * s * (walk[p] - walk[p - length]), 0.0), 1.0)
                                 if not ok:
                                     return _result(name, False, f"[{length}, {p}] = {cell!r}, s={s} at {where}")
                                 cells += 1

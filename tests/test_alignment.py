@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -21,6 +22,7 @@ from subseqlab.alignment import (
     total_alignment_std,
 )
 from subseqlab.verify import (
+    check_alignment_certified_vs_full,
     check_alignment_gain_table,
     check_alignment_small_oracle,
     check_standardize_soundness,
@@ -122,13 +124,13 @@ def test_dp_scores_pinned_at_benchmark_size():
 
 def test_gain_tables_equal_the_clip_expression(monkeypatch):
     # The check compares with `==`: one cell moved by one ulp at b = 64 and
-    # |y| = B*b must fail it.
+    # |y| = B*b must fail it.  The cell is the gain of y[0:64].
     real = alignment._gain_tables
 
     def nudged(y, params):
         tables = real(y, params)
         if params.b == 64 and len(y) == params.n:
-            tables[-1.0][64, 0] = np.nextafter(tables[-1.0][64, 0], 2.0)
+            tables[-1.0][64, 64] = np.nextafter(tables[-1.0][64, 64], 2.0)
         return tables
 
     monkeypatch.setattr(alignment, "_gain_tables", nudged)
@@ -153,6 +155,73 @@ def test_full_dp_decides_when_the_certificate_fails(monkeypatch):
     monkeypatch.setattr(alignment, "_sweep", spy)
     assert total_alignment_ind(x, y, params) == 0.8273574849765598
     assert rows == [1, 15]
+
+
+# A scratch bound that splits the check sizes' block lengths into chunks of a
+# few lengths, and their positions into tiles, so every sweep crosses seams.
+SEAM_SCRATCH = 32
+
+
+def test_chunk_seams_keep_the_bands(monkeypatch):
+    rng = np.random.default_rng(12)
+    cases = []
+    for b, big_b, eps in ((5, 4, 0.4), (16, 12, 0.4), (16, 20, 1 / 24)):
+        params = quiet_params(alpha=0.5, b=b, n=big_b * b, epsilon=eps)
+        x = BitString(rng.integers(0, 2, big_b * b, dtype=np.uint8))
+        y = BitString(rng.integers(0, 2, big_b * b // 2, dtype=np.uint8))
+        for std in (False, True):
+            dp, required = alignment._dp_inputs(x, y, params, std)
+            for rows in (1, required + 1):
+                cases.append((dp, rows, [(lo, band.copy()) for lo, band in alignment._sweep(*dp, rows)]))
+    monkeypatch.setattr(alignment, "_SCRATCH", SEAM_SCRATCH)
+    for dp, rows, whole in cases:
+        chunked = [(lo, band.copy()) for lo, band in alignment._sweep(*dp, rows)]
+        assert [lo for lo, _ in chunked] == [lo for lo, _ in whole]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(chunked, whole))
+    assert check_alignment_small_oracle().passed
+    result = check_alignment_certified_vs_full(cases=100)
+    assert result.passed, result.detail
+
+
+def _mutant_sweep(old, new):
+    source = inspect.getsource(alignment._sweep)
+    assert source.count(old) == 1
+    namespace = {}
+    exec(source.replace(old, new), vars(alignment), namespace)
+    return namespace["_sweep"]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # Each length's gains paired with f one position further back.
+        ("writeable=False)", "writeable=False); lagged = np.roll(lagged, 1, axis=2)"),
+        # Conforming lengths folded into their own count row, not the next.
+        ("np.maximum(dst[1:], cand[:-1, 0], out=dst[1:])", "np.maximum(dst[1:], cand[1:, 0], out=dst[1:])"),
+    ],
+    ids=["lag-off-by-one", "conforming-to-wrong-row"],
+)
+def test_checks_catch_sweep_mutants_at_seams(monkeypatch, old, new):
+    monkeypatch.setattr(alignment, "_SCRATCH", SEAM_SCRATCH)
+    monkeypatch.setattr(alignment, "_sweep", _mutant_sweep(old, new))
+    assert not (check_alignment_small_oracle().passed and check_alignment_certified_vs_full().passed)
+
+
+def test_multi_row_sweep_at_b128_crosses_seams(monkeypatch):
+    # Trial 1's null pair at b = 128: the one-row certificate fails, and the
+    # 20-row sweep runs with several position tiles per block.
+    params = quiet_params(alpha=0.5, b=128, n=12800)
+    law, x, y = list(alignment.alignment_trials(0.5, 128, 12800, 2, Seed(1212)))[3]
+    assert law == "null"
+    rows, sweep = [], alignment._sweep
+
+    def spy(*args):
+        rows.append(args[-1])
+        return sweep(*args)
+
+    monkeypatch.setattr(alignment, "_sweep", spy)
+    assert total_alignment_ind(x, y, params) == 0.8221185893395733
+    assert rows == [1, 20]
 
 
 def test_single_block_case():
