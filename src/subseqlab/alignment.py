@@ -323,12 +323,16 @@ def _witness_conforming(history, gains, conforming) -> int:
     k, p, count = gains[0].shape[0] - 1, gains[0].shape[1] - 1, 0
     for i in range(len(gains) - 1, -1, -1):
         (prev_lo, prev), (cur_lo, cur) = history[i], history[i + 1]
-        q = np.arange(max(prev_lo, p - k), min(prev_lo + len(prev) - 1, p) + 1)
-        hit = prev[q - prev_lo] + gains[i][p - q, p] == cur[p - cur_lo]
-        conf = hit & (conforming[i, 0] <= p - q) & (p - q <= conforming[i, 1])
+        # hit[j]: the block of length p - q, q = a + j, ends a path that attains cur[p].
+        a, z = max(prev_lo, p - k), min(prev_lo + len(prev) - 1, p)
+        hit = prev[a - prev_lo:z - prev_lo + 1] + gains[i][p - z:p - a + 1, p][::-1] == cur[p - cur_lo]
+        # The conforming lengths [c0, c1] are the q in [p - c1, p - c0].
+        c0, c1 = conforming[i].tolist()
+        first = max(0, p - a - c1)
+        conf = hit[first:max(0, p - a - c0 + 1)]
         if conf.any():
-            count, hit = count + 1, conf
-        p = int(q[np.argmax(hit)])
+            count, a, hit = count + 1, a + first, conf
+        p = a + int(np.argmax(hit))
     return count
 
 
@@ -343,8 +347,6 @@ def _total_alignment(x: BitString, y: BitString, params: AlignmentParams, standa
         for lo, band in _sweep(*dp, required + 1):
             pass
         best = band[required, m - lo]
-    if best == NEG_INF:
-        return NEG_INF
     return float(best) / params.big_b
 
 

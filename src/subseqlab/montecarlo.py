@@ -57,6 +57,10 @@ def _sample_mean(environment, alpha: float, n: int, samples: int, seed: Seed) ->
     """The sample loop shared by every estimator: sample i runs the log-domain
     DP on environment(seed.substream(i)) and contributes (1/n) log Z, with
     log 0 := 0 and the zero count reported as zero_fraction."""
+    if n < 1 or samples < 1:
+        raise ValueError("need n >= 1 and samples >= 1")
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     values = np.empty(samples)
     zeros = 0
     for i in range(samples):
@@ -78,10 +82,6 @@ def estimate_quenched(model: str, alpha: float, n: int, samples: int, seed: Seed
     (core.sample_channel at p = 1 - alpha, the planted law at a random M).
     "null" warns at alpha >= 1/2, where Z = 0 with high probability.
     """
-    if n < 1 or samples < 1:
-        raise ValueError("need n >= 1 and samples >= 1")
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if model == NULL and alpha >= 0.5:
         warnings.warn("null disorder at alpha >= 1/2 has Z = 0 with high probability; "
                       "the mean is dominated by the log 0 := 0 convention")
@@ -104,10 +104,6 @@ def estimate_quenched(model: str, alpha: float, n: int, samples: int, seed: Seed
 def estimate_polymer(env_kind: str, alpha: float, n: int, samples: int, seed: Seed) -> FreeEnergyEstimate:
     """Quenched estimate for an i.i.d. weight environment: "bernoulli-matching"
     (fair 0/1 coins) or "strict-weak" (Gamma(GAMMA_SHAPE, GAMMA_SCALE) weights)."""
-    if n < 1 or samples < 1:
-        raise ValueError("need n >= 1 and samples >= 1")
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     m = embedded_length(alpha, n)
     if env_kind == BERNOULLI_MATCHING:
         return _sample_mean(lambda sub: IidBernoulliHalf(n, m, sub), alpha, n, samples, seed)
@@ -236,6 +232,15 @@ class GapReport:
     null_side: float
 
 
+def planted_counts(n: int, m: int):
+    """Yield Z(x, x[sigma*]) for every x in all_bitstrings(n) and, for each x,
+    every m-subset sigma* in lexicographic order: the planted law's draws."""
+    subsets = [np.array(sigma, dtype=np.int64) for sigma in itertools.combinations(range(n), m)]
+    for x in all_bitstrings(n):
+        for sigma in subsets:
+            yield count_embeddings_exact(x, x.take(sigma))
+
+
 def null_planted_gap_experiment(alpha: float, n: int) -> GapReport:
     """Both sides of the size-bias relation between the two laws, exactly:
     every (x, sigma*) for the planted side and every (x, y) pair for the null
@@ -246,12 +251,9 @@ def null_planted_gap_experiment(alpha: float, n: int) -> GapReport:
     strings = list(all_bitstrings(n))
     # Planted side: average log Z over all (x, sigma*).
     planted_total = 0.0
-    subsets = list(itertools.combinations(range(n), m))
-    for x in strings:
-        for sigma in subsets:
-            z = count_embeddings_exact(x, x.take(np.array(sigma, dtype=np.int64)))
-            planted_total += math.log(z)
-    planted_side = planted_total / (len(strings) * len(subsets))
+    for z in planted_counts(n, m):
+        planted_total += math.log(z)
+    planted_side = planted_total / (len(strings) * math.comb(n, m))
     # Null side: (2^m / C(n, m)) * average of Z log Z over all (x, y).
     null_total = 0.0
     for x in strings:

@@ -35,10 +35,10 @@ vectorised ufuncs.  This is the formula numpy's scalar logaddexp evaluates;
 only the exp and log1p code differs, so values agree with LogDPTable to a few
 ulps.  An operand of -inf gives the other one exactly.  When both are -inf the
 max is clamped to the largest negative float before the subtraction, so the
-difference is -inf rather than NaN and the cell stays -inf.  The cell that
-enters the band (m = n) starts from Z = 0 and reads its neighbour before that
-is updated.  LogDPTable stays the reference route: verify checks the banded
-kernel against it.
+difference is -inf rather than NaN and the cell stays -inf.  So the cell that
+enters the band (m = n), which still holds -inf, gets lw + src exactly:
+top + log1p(exp(-inf)) = top + 0.0.  LogDPTable stays the reference route:
+verify checks the banded kernel against it.
 """
 
 from __future__ import annotations
@@ -169,10 +169,9 @@ class ExplicitMatrix:
         return self.weights.shape
 
     def log_weight_rows(self) -> Iterator[np.ndarray]:
-        for row in self.weights:
-            with np.errstate(divide="ignore"):
-                log_row = np.log(row)
-            yield log_row
+        with np.errstate(divide="ignore"):
+            logs = np.log(self.weights)
+        yield from logs
 
 
 Environment = Union[RankOneIndicator, IidBernoulliHalf, IidGamma, ExplicitMatrix]
@@ -247,15 +246,11 @@ def _band_edges(n: int, m: int, rows: int):
     return max(1, m - n + rows), min(rows, m)
 
 
-def _band_step(row, log_weights, lo: int, hi: int, enter: bool, scratch) -> None:
+def _band_step(row, log_weights, lo: int, hi: int, scratch) -> None:
     """Advance cells lo..hi of `row` by one weight row: logaddexp(own, lw + src),
     composed as max(a, b) + log1p(exp(min(a, b) - max(a, b))) from vectorised
-    ufuncs into the two scratch buffers.  When `enter`, cell hi joins the band
-    this row: its own value is Z = 0, so it becomes lw + src, and src must be
-    read before this row updates it."""
-    if enter:
-        row[hi] = log_weights[hi - 1] + row[hi - 1]
-        hi -= 1
+    ufuncs into the two scratch buffers.  Every src is read before any own is
+    written."""
     k = hi - lo + 1
     if k <= 0:
         return
@@ -284,7 +279,7 @@ def _log_count_banded(n: int, m: int, log_rows) -> float:
     rows = 0
     for rows, log_weights in enumerate(log_rows, 1):
         lo, hi = _band_edges(n, m, rows)
-        _band_step(row, log_weights, lo, hi, rows <= m, scratch)
+        _band_step(row, log_weights, lo, hi, scratch)
     if rows != n:
         raise ValueError("environment yielded the wrong number of rows")
     return float(row[m])
@@ -314,14 +309,17 @@ def count_embeddings_exact(x: BitString, y: BitString):
     return row[m]
 
 
+def _rank(bits: np.ndarray) -> np.ndarray:
+    """rank[b, t] = number of positions before t holding bit b."""
+    ones = np.concatenate(([0], np.cumsum(bits, dtype=np.int64)))
+    return np.stack((np.arange(len(bits) + 1) - ones, ones))
+
+
 def _next_occurrence(bits: np.ndarray) -> np.ndarray:
     """table[b, t] = least index >= t holding bit b, len(bits) when none."""
-    n = len(bits)
-    table = np.empty((2, n + 1), dtype=np.int64)
-    for b in (0, 1):
-        pos = np.append(np.flatnonzero(bits == b), n)
-        table[b] = pos[np.searchsorted(pos[:-1], np.arange(n + 1))]
-    return table
+    # rank[b, t] positions before t hold b, so the next one is positions_b[rank[b, t]].
+    rank = _rank(bits)
+    return np.stack([np.append(np.flatnonzero(bits == b), len(bits))[rank[b]] for b in (0, 1)])
 
 
 def greedy_embed(x: BitString, y: BitString) -> Optional[np.ndarray]:
@@ -356,12 +354,6 @@ def _corridor(x: BitString, y: BitString):
     return left, right
 
 
-def _rank(bits: np.ndarray) -> np.ndarray:
-    """rank[b, t] = number of positions before t holding bit b."""
-    ones = np.concatenate(([0], np.cumsum(bits, dtype=np.int64)))
-    return np.stack((np.arange(len(bits) + 1) - ones, ones))
-
-
 def _validate_embedding(x: BitString, y: BitString, sigma) -> np.ndarray:
     sig = np.asarray(sigma, dtype=np.int64)
     if sig.size != len(y):
@@ -378,10 +370,9 @@ def skip_vector_of(x: BitString, y: BitString, sigma) -> tuple:
     y_i that sigma passes over beyond the earliest available one."""
     sig = _validate_embedding(x, y, sigma)
     ybits = y.bits
-    # The earliest available occurrence of y_i is the first at or after sigma_{i-1} + 1.
-    earliest = _next_occurrence(x.bits)[ybits, np.append(0, sig + 1)[:-1]]
+    # The earliest available occurrence of y_i, the first at or after t = sigma_{i-1} + 1, has t's rank.
     rank = _rank(x.bits)
-    return tuple((rank[ybits, sig] - rank[ybits, earliest]).tolist())
+    return tuple((rank[ybits, sig] - rank[ybits, np.append(0, sig + 1)[:-1]]).tolist())
 
 
 def embedding_from_skips(x: BitString, y: BitString, v: tuple) -> Optional[np.ndarray]:

@@ -4,7 +4,7 @@ Every check recomputes an expected value by an independent route (brute-force
 enumeration, series summation, finite differences, exact rationals) and
 compares against the fast path.  `fast` takes about 7 s; `full` adds the
 banded kernel check at N = 20,000 and the Monte Carlo band checks and takes
-about 11 s (2-core Intel Xeon).  Each cross-check is written here once: the
+about 11 s (2-vCPU Intel Xeon).  Each cross-check is written here once: the
 tests and the acceptance criteria call the checks, passing their own pair
 counts and seeds where a check takes them.
 """
@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import alignment, annealed, capacity, montecarlo
-from .core import BitString, Seed, all_bitstrings, embedded_length, sample_null, sample_planted
+from .core import BitString, Seed, embedded_length, sample_null, sample_planted
 from .partition import (
     ExplicitMatrix,
     IidBernoulliHalf,
@@ -64,12 +64,16 @@ def brute_common_subsequences(x1: BitString, x2: BitString, m: int) -> int:
 
 def brute_planted_mean(n: int, m: int) -> Fraction:
     """E[Z] under the planted law, averaged exactly over every x and sigma*."""
-    total = Fraction(0)
-    subsets = list(itertools.combinations(range(n), m))
-    for x in all_bitstrings(n):
-        for sigma in subsets:
-            total += count_embeddings_exact(x, x.take(np.array(sigma, dtype=np.int64)))
-    return total / (len(subsets) * (1 << n))
+    counts = list(montecarlo.planted_counts(n, m))
+    return Fraction(sum(counts), len(counts))
+
+
+def reference_log_count(env) -> float:
+    """log Z by the reference route: LogDPTable fed the environment's weight rows."""
+    table = LogDPTable(env.dims[1])
+    for row in env.log_weight_rows():
+        table.advance(row)
+    return table.value
 
 
 def brute_total_alignment(x: BitString, y: BitString, params, standardized: bool) -> float:
@@ -97,6 +101,13 @@ class CheckResult:
 
 def _result(name, passed, detail=""):
     return CheckResult(name=name, passed=bool(passed), detail=detail)
+
+
+def _params(**kw) -> alignment.AlignmentParams:
+    """AlignmentParams with its degenerate-window warning, and no other, quieted."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=r"delta\*alpha\*b = ")
+        return alignment.AlignmentParams(**kw)
 
 
 def _worst(errors) -> float:
@@ -174,12 +185,9 @@ def check_rank_one_vs_generic(pairs: int = 200, seed: int = 1008) -> CheckResult
     zeros = 0
     for x, y in cases:
         env = RankOneIndicator(x, y)
-        table = LogDPTable(len(y))
-        for row in env.log_weight_rows():
-            table.advance(row)
-        fast = log_count_embeddings(env)
-        if fast != table.value:
-            return _result(name, False, f"{fast!r} != {table.value!r} at |x|={len(x)}, |y|={len(y)}")
+        fast, ref = log_count_embeddings(env), reference_log_count(env)
+        if fast != ref:
+            return _result(name, False, f"{fast!r} != {ref!r} at |x|={len(x)}, |y|={len(y)}")
         zeros += fast == float("-inf")
     return _result(name, zeros > 0, f"{len(cases)} pairs equal, {zeros} with Z = 0, |x| <= 2000")
 
@@ -191,10 +199,7 @@ def _banded_vs_logdp(name, envs, need_zero: bool) -> CheckResult:
     environment has Z = 0."""
     errors, zeros = [], 0
     for i, env in enumerate(envs):
-        table = LogDPTable(env.dims[1])
-        for row in env.log_weight_rows():
-            table.advance(row)
-        fast, ref = log_count_embeddings(env), table.value
+        fast, ref = log_count_embeddings(env), reference_log_count(env)
         if (fast == float("-inf")) != (ref == float("-inf")):
             return _result(name, False, f"{fast!r} vs {ref!r} at environment {i}, {type(env).__name__} N, M = {env.dims}")
         if ref == float("-inf"):
@@ -400,22 +405,20 @@ def check_alignment_small_oracle(seed: int = 1006) -> CheckResult:
     name = "alignment/dp-vs-exhaustive"
     rng = np.random.default_rng(seed)
     cases = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for B, b, (alpha, eps) in itertools.product(
-            (1, 2, 3, 4), (2, 3, 4, 5), ((0.5, 1 / 24), (0.5, 0.4), (0.3, 0.4), (0.8, 0.3))
-        ):
-            params = alignment.AlignmentParams(alpha=alpha, b=b, n=B * b, epsilon=eps)
-            for _ in range(3):
-                x = BitString(rng.integers(0, 2, B * b, dtype=np.uint8))
-                m = int(rng.integers(0, B * b + 1))
-                y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
-                for std in (False, True):
-                    score = (alignment.total_alignment_std if std else alignment.total_alignment_ind)(x, y, params)
-                    best = brute_total_alignment(x, y, params, std)
-                    if not (score == best or abs(score - best) < 1e-12):
-                        return _result(name, False, f"{score!r} != {best!r} at B={B} b={b} alpha={alpha} eps={eps}")
-                    cases += 1
+    for B, b, (alpha, eps) in itertools.product(
+        (1, 2, 3, 4), (2, 3, 4, 5), ((0.5, 1 / 24), (0.5, 0.4), (0.3, 0.4), (0.8, 0.3))
+    ):
+        params = _params(alpha=alpha, b=b, n=B * b, epsilon=eps)
+        for _ in range(3):
+            x = BitString(rng.integers(0, 2, B * b, dtype=np.uint8))
+            m = int(rng.integers(0, B * b + 1))
+            y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
+            for std in (False, True):
+                score = (alignment.total_alignment_std if std else alignment.total_alignment_ind)(x, y, params)
+                best = brute_total_alignment(x, y, params, std)
+                if not (score == best or abs(score - best) < 1e-12):
+                    return _result(name, False, f"{score!r} != {best!r} at B={B} b={b} alpha={alpha} eps={eps}")
+                cases += 1
     return _result(name, True, f"{cases} cases: B 1..4, b 2..5, 4 (alpha, eps) pairs, both families")
 
 
@@ -427,32 +430,30 @@ def check_alignment_gain_table(seed: int = 1010) -> CheckResult:
     name = "alignment/gain-table"
     rng = np.random.default_rng(seed)
     big_b, cells = 4, 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for b in (1, 2, 7, 16, 64):
-            for eps in (1 / 24, 0.5):
-                params = alignment.AlignmentParams(alpha=0.5, b=b, n=big_b * b, epsilon=eps)
-                for m in sorted({0, 1, b - 1, big_b * b // 2, big_b * b}):
-                    y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
-                    walk = [0]
-                    for bit in y.bits:
-                        walk.append(walk[-1] + (1 if bit else -1))
-                    tables = alignment._gain_tables(y, params)
-                    where = f"b={b}, eps={eps}, |y|={m}"
-                    for s in (1.0, -1.0):
-                        table = tables[s]
-                        if table.shape != (min(b, m) + 1, m + 1) or table.dtype != np.float64:
-                            return _result(name, False, f"shape {table.shape} {table.dtype} at {where}")
-                        for length in range(min(b, m) + 1):
-                            for p in range(m + 1):
-                                cell = table[length, p]
-                                if p < length:
-                                    ok = cell == float("-inf")
-                                else:
-                                    ok = cell == min(max(params.delta * s * (walk[p] - walk[p - length]), 0.0), 1.0)
-                                if not ok:
-                                    return _result(name, False, f"[{length}, {p}] = {cell!r}, s={s} at {where}")
-                                cells += 1
+    for b in (1, 2, 7, 16, 64):
+        for eps in (1 / 24, 0.5):
+            params = _params(alpha=0.5, b=b, n=big_b * b, epsilon=eps)
+            for m in sorted({0, 1, b - 1, big_b * b // 2, big_b * b}):
+                y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
+                walk = [0]
+                for bit in y.bits:
+                    walk.append(walk[-1] + (1 if bit else -1))
+                tables = alignment._gain_tables(y, params)
+                where = f"b={b}, eps={eps}, |y|={m}"
+                for s in (1.0, -1.0):
+                    table = tables[s]
+                    if table.shape != (min(b, m) + 1, m + 1) or table.dtype != np.float64:
+                        return _result(name, False, f"shape {table.shape} {table.dtype} at {where}")
+                    for length in range(min(b, m) + 1):
+                        for p in range(m + 1):
+                            cell = table[length, p]
+                            if p < length:
+                                ok = cell == float("-inf")
+                            else:
+                                ok = cell == min(max(params.delta * s * (walk[p] - walk[p - length]), 0.0), 1.0)
+                            if not ok:
+                                return _result(name, False, f"[{length}, {p}] = {cell!r}, s={s} at {where}")
+                            cells += 1
     return _result(name, True, f"{cells} cells checked, b <= 64")
 
 
@@ -463,27 +464,25 @@ def check_alignment_certified_vs_full(cases: int = 300, seed: int = 1009) -> Che
     name = "alignment/certified-vs-full"
     rng = np.random.default_rng(seed)
     seen = {"certified": 0, "fell back": 0, "empty": 0}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(cases):
-            alpha, eps = float(rng.choice((0.2, 0.3, 0.5, 0.7, 0.9))), float(rng.choice((1 / 24, 0.25, 0.4, 0.5)))
-            b, big_b = int(rng.choice((2, 4, 8, 16))), int(rng.integers(1, 21))
-            params = alignment.AlignmentParams(alpha=alpha, b=b, n=big_b * b, epsilon=eps)
-            x = BitString(rng.integers(0, 2, big_b * b, dtype=np.uint8))
-            m = embedded_length(alpha, big_b * b) if rng.random() < 0.5 else int(rng.integers(0, big_b * b + 1))
-            y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
-            for std, score in ((False, alignment.total_alignment_ind), (True, alignment.total_alignment_std)):
-                dp, required = alignment._dp_inputs(x, y, params, std)
-                for lo, band in alignment._sweep(*dp, required + 1):
-                    pass
-                full = band[required, m - lo]
-                if score(x, y, params) != float(full) / big_b:
-                    return _result(name, False, f"{score.__name__} != {full!r}/{big_b} at b={b}, eps={eps}")
-                if full == float("-inf"):
-                    seen["empty"] += 1
-                elif required:
-                    history = [(lo, band[0].copy()) for lo, band in alignment._sweep(*dp, 1)]
-                    seen["certified" if alignment._witness_conforming(history, *dp) >= required else "fell back"] += 1
+    for _ in range(cases):
+        alpha, eps = float(rng.choice((0.2, 0.3, 0.5, 0.7, 0.9))), float(rng.choice((1 / 24, 0.25, 0.4, 0.5)))
+        b, big_b = int(rng.choice((2, 4, 8, 16))), int(rng.integers(1, 21))
+        params = _params(alpha=alpha, b=b, n=big_b * b, epsilon=eps)
+        x = BitString(rng.integers(0, 2, big_b * b, dtype=np.uint8))
+        m = embedded_length(alpha, big_b * b) if rng.random() < 0.5 else int(rng.integers(0, big_b * b + 1))
+        y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
+        for std, score in ((False, alignment.total_alignment_ind), (True, alignment.total_alignment_std)):
+            dp, required = alignment._dp_inputs(x, y, params, std)
+            for lo, band in alignment._sweep(*dp, required + 1):
+                pass
+            full = band[required, m - lo]
+            if score(x, y, params) != float(full) / big_b:
+                return _result(name, False, f"{score.__name__} != {full!r}/{big_b} at b={b}, eps={eps}")
+            if full == float("-inf"):
+                seen["empty"] += 1
+            elif required:
+                history = [(lo, band[0].copy()) for lo, band in alignment._sweep(*dp, 1)]
+                seen["certified" if alignment._witness_conforming(history, *dp) >= required else "fell back"] += 1
     detail = f"{2 * cases} scores equal; " + ", ".join(f"{v} {k}" for k, v in seen.items())
     return _result(name, all(seen.values()), detail)
 
@@ -499,27 +498,25 @@ def check_standardize_soundness(seed: int = 1007) -> CheckResult:
     name = "alignment/standardize-soundness"
     rng = np.random.default_rng(seed)
     exceptional = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for eps in (1 / 24, 0.25):
-            exceptional.append(0)
-            params = alignment.AlignmentParams(alpha=0.5, b=24, n=20 * 24, epsilon=eps)
-            lo, hi = params.window_ints()
-            m = int(0.5 * params.big_b * params.b)
-            y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
-            for _ in range(1000):
-                part = alignment.sample_induced_partition(m, params, rng)
-                out = alignment.standardize(y, part, params)
-                if not alignment.is_standardized_member(out, m, params):
-                    return _result(name, False, f"eps={eps}")
-                if sum(out.block_lengths) != m:
-                    return _result(name, False, "length sum changed")
-                start, out_start = part.offsets, out.offsets
-                for i, v in enumerate(part.block_lengths):
-                    if not lo <= v <= hi:
-                        exceptional[-1] += 1
-                        if out.block_lengths[i] != v or out_start[i] != start[i]:
-                            return _result(name, False, f"exceptional block {i} moved at eps={eps}")
+    for eps in (1 / 24, 0.25):
+        exceptional.append(0)
+        params = _params(alpha=0.5, b=24, n=20 * 24, epsilon=eps)
+        lo, hi = params.window_ints()
+        m = int(0.5 * params.big_b * params.b)
+        y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
+        for _ in range(1000):
+            part = alignment.sample_induced_partition(m, params, rng)
+            out = alignment.standardize(y, part, params)
+            if not alignment.is_standardized_member(out, m, params):
+                return _result(name, False, f"eps={eps}")
+            if sum(out.block_lengths) != m:
+                return _result(name, False, "length sum changed")
+            start, out_start = part.offsets, out.offsets
+            for i, v in enumerate(part.block_lengths):
+                if not lo <= v <= hi:
+                    exceptional[-1] += 1
+                    if out.block_lengths[i] != v or out_start[i] != start[i]:
+                        return _result(name, False, f"exceptional block {i} moved at eps={eps}")
     return _result(name, min(exceptional) > 100,
                    f"2 x 1000 random induced partitions, {exceptional} exceptional blocks copied at eps = 1/24, 1/4")
 

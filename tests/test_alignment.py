@@ -22,6 +22,7 @@ from subseqlab.alignment import (
     total_alignment_std,
 )
 from subseqlab.verify import (
+    _params as quiet_params,
     check_alignment_certified_vs_full,
     check_alignment_gain_table,
     check_alignment_small_oracle,
@@ -29,12 +30,6 @@ from subseqlab.verify import (
 )
 
 NEG_INF = float("-inf")
-
-
-def quiet_params(**kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return AlignmentParams(**kw)
 
 
 def test_displacement():
@@ -339,6 +334,17 @@ def test_standardize_rejects_slack_past_b():
 def test_standardize_soundness_many_random_partitions():
     result = check_standardize_soundness(seed=9)
     assert result.passed, result.detail
+
+
+def test_alignment_checks_run_warning_free():
+    # The checks quiet only AlignmentParams' degenerate-window warning, so a
+    # warning from the DP under test surfaces, here as an error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in (check_alignment_small_oracle, check_alignment_gain_table,
+                      check_alignment_certified_vs_full, check_standardize_soundness):
+            result = check()
+            assert result.passed, result.detail
 
 
 def test_total_alignment_sup_dominates_members():

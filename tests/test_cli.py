@@ -19,7 +19,9 @@ from subseqlab.cli import main
 
 
 def run_cli(args, env_extra=None):
-    env = dict(os.environ)
+    # The child imports subseqlab from where this process did, installed or not.
+    src = str(pathlib.Path(subseqlab.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.setdefault("RSM_THREADS", "1")
     if env_extra:
         env.update(env_extra)

@@ -174,6 +174,20 @@ def test_narrowed_corridor_fails_the_generic_check(edge, monkeypatch):
     assert not check_rank_one_vs_generic().passed
 
 
+def test_next_occurrence_matches_its_definition():
+    # table[b, t] is the least index >= t holding b, else n: n = 0, constant
+    # strings (one bit never occurs) and random strings.
+    rng = np.random.default_rng(37)
+    strings = [np.zeros(0, np.uint8), np.zeros(7, np.uint8), np.ones(7, np.uint8)]
+    strings += [rng.integers(0, 2, int(rng.integers(1, 40)), dtype=np.uint8) for _ in range(100)]
+    for bits in strings:
+        n = len(bits)
+        expected = [[next((i for i in range(t, n) if bits[i] == b), n) for t in range(n + 1)] for b in (0, 1)]
+        table = partition._next_occurrence(bits)
+        assert table.dtype == np.int64
+        assert table.tolist() == expected
+
+
 def test_greedy_examples():
     x = BitString.from_text("10110")
     assert list(greedy_embed(x, BitString.from_text("11"))) == [0, 2]
@@ -271,22 +285,14 @@ def test_gamma_environment_rows_positive():
     assert math.isfinite(logz1)
 
 
-def test_first_entry_read_after_update_fails_the_banded_check(monkeypatch):
-    # The cell that enters the band computed from its neighbour's value after
-    # this row's update instead of before it.
-    real = partition._band_step
-
-    def slipped(row, log_weights, lo, hi, enter, scratch):
-        real(row, log_weights, lo, hi - enter, False, scratch)
-        if enter:
-            row[hi] = log_weights[hi - 1] + row[hi - 1]
-
-    monkeypatch.setattr(partition, "_band_step", slipped)
+def test_lower_band_edge_one_too_high_fails_the_banded_check(monkeypatch):
+    monkeypatch.setattr(partition, "_band_edges", lambda n, m, rows: (max(1, m - n + rows + 1), min(rows, m)))
     assert not check_banded_vs_logdp().passed
 
 
-def test_lower_band_edge_one_too_high_fails_the_banded_check(monkeypatch):
-    monkeypatch.setattr(partition, "_band_edges", lambda n, m, rows: (max(1, m - n + rows + 1), min(rows, m)))
+def test_upper_band_edge_one_too_low_fails_the_banded_check(monkeypatch):
+    # The cell entering the band (m = rows) is never written and stays -inf.
+    monkeypatch.setattr(partition, "_band_edges", lambda n, m, rows: (max(1, m - n + rows), min(rows, m) - 1))
     assert not check_banded_vs_logdp().passed
 
 
@@ -303,12 +309,9 @@ def _banded_and_reference(weights):
     """log Z of the weight matrix by the banded kernel and by LogDPTable, with
     warnings as errors."""
     env = ExplicitMatrix(weights)
-    table = LogDPTable(weights.shape[1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for row in env.log_weight_rows():
-            table.advance(row)
-        return log_count_embeddings(env), table.value
+        return log_count_embeddings(env), verify.reference_log_count(env)
 
 
 def test_banded_kernel_zero_weights():
