@@ -80,11 +80,11 @@ def estimate_quenched(model: str, alpha: float, n: int, samples: int, seed: Seed
     model is "null" or "planted" at M = floor(alpha n) (the floor of the exact
     decimal product, see core.embedded_length), or "planted-bdc"
     (core.sample_channel at p = 1 - alpha, the planted law at a random M).
-    "null" warns at alpha >= 1/2, where Z = 0 with high probability.
+    "null" warns at alpha >= 1/2, where Z = 0 at least about half the time.
     """
     if model == NULL and alpha >= 0.5:
-        warnings.warn("null disorder at alpha >= 1/2 has Z = 0 with high probability; "
-                      "the mean is dominated by the log 0 := 0 convention")
+        warnings.warn("null disorder at alpha >= 1/2 has Z = 0 about half the time at 1/2 and with "
+                      "high probability above it; the mean leans on the log 0 := 0 convention")
     m = embedded_length(alpha, n)
     draw = {
         NULL: lambda sub: sample_null(n, m, sub),
@@ -191,7 +191,7 @@ def polymer_point(alpha: float, n: int, samples: int, seed: Seed) -> PolymerComp
     """One grid point of the polymer comparison: the simulated null model beside
     the exactly solvable Gamma(GAMMA_SHAPE, GAMMA_SCALE) polymer."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.filterwarnings("ignore", message="null disorder at alpha >= 1/2")
         est = estimate_quenched(NULL, alpha, n, samples, seed)
     return PolymerComparisonRow(
         alpha=alpha,

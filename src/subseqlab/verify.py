@@ -2,11 +2,11 @@
 
 Every check recomputes an expected value by an independent route (brute-force
 enumeration, series summation, finite differences, exact rationals) and
-compares against the fast path.  `fast` takes about 7 s; `full` adds the
-banded kernel check at N = 20,000 and the Monte Carlo band checks and takes
-about 11 s (2-vCPU Intel Xeon).  Each cross-check is written here once: the
-tests and the acceptance criteria call the checks, passing their own pair
-counts and seeds where a check takes them.
+compares against the fast path.  As whole processes, `fast` takes about 6 s
+and `full`, which adds the banded kernel check at N = 20,000 and the Monte
+Carlo band checks, about 9 s (2-vCPU Intel Xeon).  Each check is written here
+once.  The test suite runs every check in FULL_CHECKS once, at its defaults;
+other tests call checks with their own pair counts and seeds, or on a mutant.
 """
 
 from __future__ import annotations

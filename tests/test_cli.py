@@ -262,15 +262,14 @@ def test_figure2_curves_are_close_at_scale():
     assert 0.0 <= end.null_zero_fraction <= 1.0
 
 
-def test_verify_fast_passes_in_process(capsys):
-    rc = main(["verify", "--level", "fast"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "FAIL" not in out
-    assert "checks passed" in out
-    # every check line carries its wall time
-    check_lines = out.splitlines()[:-1]
-    assert check_lines and all(re.match(r"PASS  \S+  \[\d+\.\d\d s\]", line) for line in check_lines)
+def test_verify_prints_a_timed_line_per_check(monkeypatch, capsys):
+    verify = subseqlab.verify
+    monkeypatch.setattr(verify, "FAST_CHECKS", (verify.check_digamma, verify.check_capacity_constants))
+    assert main(["verify", "--level", "fast"]) == 0
+    *check_lines, summary = capsys.readouterr().out.splitlines()
+    assert len(check_lines) == 2
+    assert all(re.match(r"PASS  \S+  \[\d+\.\d\d s\]", line) for line in check_lines)
+    assert summary == "2/2 checks passed [fast]"
 
 
 def test_verify_detects_corrupted_constant(monkeypatch):
@@ -324,8 +323,8 @@ def test_readme_commands_parse():
 
 
 def test_every_check_is_registered_once():
-    # Tests call checks directly, so a check dropped from FULL_CHECKS would
-    # still pass the suite while `subseqlab verify` quietly stopped running it.
+    # The suite runs every check at its defaults from FULL_CHECKS, so a check
+    # left out of it would run nowhere: not in the suite, not in `verify`.
     verify = subseqlab.verify
     checks = [fn for name, fn in vars(verify).items() if name.startswith("check_")]
     assert sorted(verify.FULL_CHECKS, key=id) == sorted(checks, key=id)
@@ -333,3 +332,9 @@ def test_every_check_is_registered_once():
     names = [set(re.findall(r'"([a-z]+/[\w.-]+)"', inspect.getsource(fn))) for fn in checks]
     assert all(len(found) == 1 for found in names)
     assert len(set.union(*names)) == len(checks)
+
+
+@pytest.mark.parametrize("check", subseqlab.verify.FULL_CHECKS, ids=lambda fn: fn.__name__)
+def test_check_passes_at_its_defaults(check):
+    result = check()
+    assert result.passed, result.detail
