@@ -21,9 +21,16 @@ which is exactly when some embedding matches y_j to x_n.  Below the corridor
 above it (n > R_j) the cell it writes has no embedding of the rest of y to its
 right, and such a cell is read only by cells with the same defect.  So log Z
 is bit for bit that of the full recurrence.  The corridor lies inside
-Ukkonen's band (L_j >= j, R_j <= N - M + j), and when L does not exist Z = 0
-and no DP runs.  LogDPTable, which sees only weight rows, skips only the
-entries past its row count, which are still Z = 0.
+Ukkonen's band (L_j >= j, R_j <= N - M + j).  No DP runs when L does not
+exist, as then Z = 0, or when L = R (at every M = N pair with Z > 0), as then
+the one embedding gives log Z = logaddexp(-inf, 0.0) = 0.0.  LogDPTable,
+which sees only weight rows, skips only the entries past its row count,
+which are still Z = 0.
+
+The rank-one kernel keeps its row in slots: cell 0, then the cells j+1 with
+y_j = 0, then those with y_j = 1, each in order.  A row reading bit b writes a
+run of b's cells, one slice of slots, by one in-place logaddexp on sources
+gathered into a copy before the write, so each cell gets LogDPTable's operands.
 
 Every other environment runs a banded kernel with LogDPTable's recurrence.
 After n rows only the cells max(0, M - N + n) <= m <= min(n, M) can reach
@@ -204,12 +211,11 @@ class LogDPTable:
 
 
 def _log_count_rank_one(x: BitString, y: BitString) -> float:
-    # Same recurrence as LogDPTable.advance, but the indicator weights make the
-    # update a gather/scatter on the positions of each bit value in y.  Row n
-    # (reading x_n) writes Z[n+1, idx+1] from Z[n, idx] for the positions idx
-    # of x_n in y with L_idx <= n <= R_idx (the corridor, see the module
-    # docstring); every other update adds Z = 0 or writes a cell no embedding
-    # passes through.  O(N + M) memory.
+    # Same recurrence as LogDPTable.advance, kept to the corridor, with the row
+    # in slots (see the module docstring).  Slot s >= 1 holds cell
+    # cell_at[s] = order[s - 1] + 1 and reads slot src[s].  Row n, reading
+    # x_n = b, writes the cells idx + 1 for the positions idx of b in y with
+    # L_idx <= n <= R_idx, one run of slots lo..hi - 1.  O(N + M) memory.
     m = len(y)
     if m == 0:
         return 0.0
@@ -217,27 +223,29 @@ def _log_count_rank_one(x: BitString, y: BitString) -> float:
     if bounds is None:
         return NEG_INF
     left, right = bounds
-    row = np.full(m + 1, NEG_INF)
-    row[0] = 0.0
+    if np.array_equal(left, right):
+        return 0.0
     ybits = y.bits
-    src_for = (np.flatnonzero(ybits == 0), np.flatnonzero(ybits == 1))
-    dst_for = (src_for[0] + 1, src_for[1] + 1)
-    # Per-row slice bounds into the positions of x_n's bit value in y: L and R
-    # increase, so {idx: R_idx >= n} is a suffix and {idx: L_idx <= n} a prefix.
-    # Rows outside [L_0, R_{M-1}] update nothing.
+    order = np.argsort(ybits, kind="stable")
+    cell_at = np.concatenate(([0], order + 1))
+    slot = np.argsort(cell_at, kind="stable")  # the inverse: two sorted runs merge in O(M)
+    src = slot[cell_at - 1]
+    store = np.full(m + 1, NEG_INF)
+    store[0] = 0.0
+    # L and R increase, so in each bit's run of slots {R_idx >= n} is a suffix
+    # and {L_idx <= n} a prefix.  Lifting bit 1's keys and rows by N puts its
+    # run after bit 0's, so one search finds either.  Rows outside
+    # [L_0, R_{M-1}] update nothing.
     first, last = left[0], right[-1] + 1
-    rows = np.arange(first, last)
-    lo_for = [np.searchsorted(right[p], rows) for p in src_for]
-    hi_for = [np.searchsorted(left[p], rows, side="right") for p in src_for]
-    xbits = x.bits[first:last]
-    ones = xbits == 1
-    starts = np.where(ones, lo_for[1], lo_for[0])
-    stops = np.where(ones, hi_for[1], hi_for[0])
-    for bit, lo, hi in zip(xbits, starts, stops):
+    lift = np.array([0, len(x)])
+    rows = np.arange(first, last) + lift[x.bits[first:last]]
+    starts = 1 + np.searchsorted(right[order] + lift[ybits[order]], rows)
+    stops = 1 + np.searchsorted(left[order] + lift[ybits[order]], rows, side="right")
+    for lo, hi in zip(memoryview(starts), memoryview(stops)):
         if lo < hi:
-            src, dst = src_for[bit][lo:hi], dst_for[bit][lo:hi]
-            row[dst] = np.logaddexp(row[dst], row[src])
-    return float(row[m])
+            dst = store[lo:hi]
+            np.logaddexp(dst, store[src[lo:hi]], out=dst)
+    return float(store[slot[m]])
 
 
 def _band_edges(n: int, m: int, rows: int):

@@ -2,9 +2,9 @@
 
 Every check recomputes an expected value by an independent route (brute-force
 enumeration, series summation, finite differences, exact rationals) and
-compares against the fast path.  As whole processes, `fast` takes about 6 s
-and `full`, which adds the banded kernel check at N = 20,000 and the Monte
-Carlo band checks, about 9 s (2-vCPU Intel Xeon).  Each check is written here
+compares against the fast path.  As whole processes, `fast` takes 6-9 s and
+`full`, which adds the banded kernel check at N = 20,000 and the Monte Carlo
+band checks, 10-16 s (shared 2-vCPU Intel Xeon).  Each check is written here
 once.  The test suite runs every check in FULL_CHECKS once, at its defaults;
 other tests call checks with their own pair counts and seeds, or on a mutant.
 """
@@ -152,8 +152,8 @@ def check_rank_one_vs_generic(pairs: int = 200, seed: int = 1008) -> CheckResult
     same indicator rows.  Both run the same logaddexps on every cell an
     embedding passes through, so they must agree exactly: at M = 0 and M = N,
     on Z = 0 pairs, where the corridor binds (planted alpha >= 1/2, null alpha
-    near 1/2) and where L or R runs along the band edge (y a prefix or a
-    suffix of x)."""
+    near 1/2), where L or R runs along the band edge (y a prefix or a suffix
+    of x), at L = R with M < N, and where L and R agree only at both ends."""
     name = "partition/rank-one-vs-generic"
     rng = np.random.default_rng(seed)
 
@@ -175,6 +175,8 @@ def check_rank_one_vs_generic(pairs: int = 200, seed: int = 1008) -> CheckResult
             # pair's greedy runs to x[m - 1], then finds no 1 in the zero tail.
             tail_zero = BitString(np.concatenate([x.bits[:m - 1], np.zeros(n - m + 1, np.uint8)]))
             cases += [(x, x[:m]), (x, x[n - m:]), (tail_zero, BitString(np.append(x.bits[:m - 1], 1)))]
+    cases += [(BitString.from_text("10" * 200 + "1"), BitString.ones(201)),
+              (BitString.from_text("1" + "0" * 200 + "1"), BitString.from_text("1" + "0" * 199 + "1"))]
     root = Seed(seed)
     for i, alpha in enumerate((0.5, 0.6, 0.9, 1.0)):
         d = sample_planted(2000, embedded_length(alpha, 2000), root.substream(i))

@@ -80,28 +80,27 @@ def test_criterion_01_dp_correctness():
            f"{result.detail} in {elapsed:.2f}s")
 
 
-def test_criterion_02_gap_product_formula():
-    direct, enumerated = check_gap_product_formula(), check_planted_mean_enumeration()
+def test_criterion_02_gap_product_formula(check_result):
+    direct, enumerated = check_result(check_gap_product_formula), check_result(check_planted_mean_enumeration)
     report(2, "pair-sum formula vs direct and full enumeration", direct.passed and enumerated.passed,
            f"{direct.detail}; {enumerated.detail}")
 
 
-def test_criterion_03_closed_form_self_consistency():
-    start = time.time()
-    residuals, variational = check_closed_form_residuals(), check_variational_max()
-    elapsed = time.time() - start
+def test_criterion_03_closed_form_self_consistency(check_result):
+    residuals, variational = check_result(check_closed_form_residuals), check_result(check_variational_max)
+    elapsed = residuals.seconds + variational.seconds
     ok = residuals.passed and variational.passed and elapsed < 1.0
     report(3, "closed-form residuals + variational maximum",
            ok, f"{residuals.detail}; {variational.detail}; {elapsed:.3f}s")
 
 
-def test_criterion_04_closed_form_vs_series():
-    result = check_closed_form_vs_series()
+def test_criterion_04_closed_form_vs_series(check_result):
+    result = check_result(check_closed_form_vs_series)
     report(4, "closed form vs series on 20-point grid", result.passed, result.detail)
 
 
-def test_criterion_05_envelope_identity():
-    result = check_envelope_identity()
+def test_criterion_05_envelope_identity(check_result):
+    result = check_result(check_envelope_identity)
     report(5, "envelope derivative identity", result.passed, result.detail)
 
 
@@ -174,8 +173,8 @@ def test_criterion_08_null_band():
            f"finite-N gap {gap:.4f} = {gap / est.stderr:.1f} se")
 
 
-def test_criterion_09_nishimori_identity():
-    result = check_nishimori_identity()
+def test_criterion_09_nishimori_identity(check_result):
+    result = check_result(check_nishimori_identity)
     report(9, "size-bias identity, exhaustive", result.passed, result.detail)
 
 
@@ -218,6 +217,6 @@ def test_criterion_12_alignment_separation():
     report(12, "alignment separation frequencies and scores", ok, detail)
 
 
-def test_criterion_13_explicit_bound_plumbing():
-    result = check_capacity_constants()
+def test_criterion_13_explicit_bound_plumbing(check_result):
+    result = check_result(check_capacity_constants)
     report(13, "explicit bound in log space", result.passed, result.detail)

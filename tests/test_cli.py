@@ -335,6 +335,6 @@ def test_every_check_is_registered_once():
 
 
 @pytest.mark.parametrize("check", subseqlab.verify.FULL_CHECKS, ids=lambda fn: fn.__name__)
-def test_check_passes_at_its_defaults(check):
-    result = check()
+def test_check_passes_at_its_defaults(check, check_result):
+    result = check_result(check)
     assert result.passed, result.detail

@@ -1,4 +1,6 @@
+import inspect
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subseqlab import partition, verify
-from subseqlab.core import BitString, Seed, all_bitstrings
+from subseqlab.core import BitString, Seed, all_bitstrings, embedded_length, sample_planted
 from subseqlab.partition import (
     ExplicitMatrix,
     IidBernoulliHalf,
@@ -172,6 +174,61 @@ def test_narrowed_corridor_fails_the_generic_check(edge, monkeypatch):
 
     monkeypatch.setattr(partition, "_corridor", narrowed)
     assert not check_rank_one_vs_generic().passed
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (BitString.from_text("0110100111"), BitString.from_text("0110100111")),
+        # x = (10)^k 1 holds exactly k + 1 ones, so y = 1^(k+1) embeds once.
+        (BitString.from_text("10" * 30 + "1"), BitString.ones(31)),
+    ],
+    ids=["x-equals-y", "m-below-n"],
+)
+def test_unique_embedding_has_log_count_zero(x, y):
+    assert count_embeddings_exact(x, y) == 1
+    assert log_count_embeddings(RankOneIndicator(x, y)) == 0.0
+
+
+def _mutant_rank_one(old, new):
+    source = inspect.getsource(partition._log_count_rank_one)
+    assert source.count(old) == 1
+    namespace = {}
+    exec(source.replace(old, new), vars(partition), namespace)
+    return namespace["_log_count_rank_one"]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # Cell j + 1 slotted by y_{j+1} instead of y_j.
+        ("np.concatenate(([0], order + 1))",
+         'np.concatenate(([0], 1 + np.argsort(np.roll(ybits, -1), kind="stable")))'),
+        # Each source read after the cells before it in the row are written.
+        ("np.logaddexp(dst, store[src[lo:hi]], out=dst)",
+         "for t, s in enumerate(src[lo:hi]): dst[t] = np.logaddexp(dst[t], store[s])"),
+        # The one-embedding exit taken when L and R agree at both ends.
+        ("np.array_equal(left, right)", "left[0] == right[0] and left[-1] == right[-1]"),
+    ],
+    ids=["slot-by-next-bit", "no-gathered-copy", "exit-on-ends"],
+)
+def test_checks_catch_rank_one_slot_mutants(monkeypatch, old, new):
+    monkeypatch.setattr(partition, "_log_count_rank_one", _mutant_rank_one(old, new))
+    assert not check_rank_one_vs_generic().passed
+
+
+def test_rank_one_memory_at_scale():
+    # One planted DP at N = 10^4, alpha = 0.2 peaks at 0.51 MB of traced
+    # allocations; iterating the per-row bounds as Python lists peaks at 1.03 MB.
+    d = sample_planted(10_000, embedded_length(0.2, 10_000), Seed(0))
+    env = RankOneIndicator(d.x, d.y)
+    tracemalloc.start()
+    try:
+        log_count_embeddings(env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 850_000
 
 
 def test_next_occurrence_matches_its_definition():
