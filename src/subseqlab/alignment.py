@@ -197,18 +197,6 @@ def is_standardized_member(part: Partition, m: int, params: AlignmentParams) -> 
     return _is_member(part, m, params, standardized=True)
 
 
-def average_local_alignment(x: BitString, y: BitString, part: Partition, params: AlignmentParams) -> float:
-    """(1/B) sum of local alignments of an explicit partition against x's blocks."""
-    b, big_b = params.b, params.big_b
-    if len(part.block_lengths) != big_b:
-        raise ValueError("partition has the wrong number of blocks")
-    xblocks = [x[i * b:(i + 1) * b] for i in range(big_b)]
-    total = 0.0
-    for xb, yb in zip(xblocks, part.blocks(y)):
-        total += local_alignment(xb, yb, params.delta)
-    return total / big_b
-
-
 def _block_signs(x: BitString, params: AlignmentParams) -> np.ndarray:
     b, big_b = params.b, params.big_b
     sums = x.bits[: big_b * b].reshape(big_b, b).sum(axis=1, dtype=np.int64)
@@ -412,40 +400,8 @@ def standardize(y: BitString, part: Partition, params: AlignmentParams) -> Parti
 
 
 # ---------------------------------------------------------------------------
-# Sampling helpers for experiments and property tests
+# The separation experiment
 # ---------------------------------------------------------------------------
-
-
-def sample_induced_partition(m: int, params: AlignmentParams, rng: np.random.Generator) -> Partition:
-    """A random member of the induced family, built block by block from the
-    feasible length choices (uniform over choices at each step, not over the
-    family; fine for property tests)."""
-    big_b, b = params.big_b, params.b
-    lo_w, hi_w = params.window_ints()
-    lens = []
-    rem = m
-    exc_left = params.induced_budget
-    for i in range(big_b):
-        rest = big_b - i - 1
-        feasible = []
-        for length in range(0, min(b, rem) + 1):
-            left = rem - length
-            e_after = exc_left - (0 if lo_w <= length <= hi_w else 1)
-            if e_after < 0:
-                continue
-            exc_use = min(rest, e_after)
-            min_cov = max(0, rest - e_after) * lo_w
-            max_cov = (rest - exc_use) * hi_w + exc_use * b
-            if min_cov <= left <= max_cov:
-                feasible.append(length)
-        if not feasible:
-            raise ValueError("induced family is empty at these parameters")
-        length = int(rng.choice(feasible))
-        if not (lo_w <= length <= hi_w):
-            exc_left -= 1
-        lens.append(length)
-        rem -= length
-    return Partition(tuple(lens))
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,8 @@ All free energies are in nats.  The central objects:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -231,20 +229,11 @@ def barZ_exact(n: int, m: int):
     return f[n + 1][m + 1]
 
 
-def barZ_pairs_direct(n: int, m: int):
-    """Brute-force double sum over all pairs of embeddings; oracle for barZ_exact."""
-    total = 0
-    configs = list(itertools.combinations(range(n), m))
-    for sigma in configs:
-        for tau in configs:
-            overlap = sum(1 for s, t in zip(sigma, tau) if s == t)
-            total += 1 << overlap
-    return total
-
-
-def planted_mean_partition(n: int, m: int) -> Fraction:
+def planted_mean_partition(n: int, m: int):
     """E[Z] under the planted law at finite size, as the exact rational
-    barZ_exact / (C(n, m) * 2^m)."""
+    barZ_exact / (C(n, m) * 2^m), a Fraction."""
+    from fractions import Fraction
+
     return Fraction(barZ_exact(n, m), math.comb(n, m) * 2**m)
 
 

@@ -10,8 +10,6 @@ so callers can re-weight.
 
 from __future__ import annotations
 
-import concurrent.futures
-import itertools
 import math
 import os
 import warnings
@@ -21,14 +19,8 @@ import numpy as np
 
 from .capacity import dgv_lower_bound, upper_bound_uniform_capacity
 from .annealed import LN2, strict_weak_value
-from .core import Seed, all_bitstrings, embedded_length, sample_channel, sample_null, sample_planted
-from .partition import (
-    IidBernoulliHalf,
-    IidGamma,
-    RankOneIndicator,
-    count_embeddings_exact,
-    log_count_embeddings,
-)
+from .core import Seed, embedded_length, sample_channel, sample_null, sample_planted
+from .partition import IidBernoulliHalf, IidGamma, RankOneIndicator, log_count_embeddings
 from .special import binary_entropy
 
 NULL = "null"
@@ -148,6 +140,8 @@ def curve(point, spec: CurveSpec) -> list:
     work = [(v, spec.n, spec.samples, spec.seed.substream(g * spec.samples)) for g, v in enumerate(spec.grid)]
     if workers == 1 or len(work) <= 1:
         return [point(*args) for args in work]
+    import concurrent.futures
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(point, *args) for args in work]
         return [f.result() for f in futures]
@@ -215,52 +209,3 @@ def polymer_comparison_curve(spec: CurveSpec) -> list:
     alpha grid in (0, 1/2]."""
     check_alpha_grid(spec.grid)
     return curve(polymer_point, spec)
-
-
-# ---------------------------------------------------------------------------
-# Size-bias identity between the null and planted laws
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Both sides of E[log Z_planted] = (2^M / C(N, M)) E[Z_null log Z_null]."""
-
-    n: int
-    m: int
-    planted_side: float
-    null_side: float
-
-
-def planted_counts(n: int, m: int):
-    """Yield Z(x, x[sigma*]) for every x in all_bitstrings(n) and, for each x,
-    every m-subset sigma* in lexicographic order: the planted law's draws."""
-    subsets = [np.array(sigma, dtype=np.int64) for sigma in itertools.combinations(range(n), m)]
-    for x in all_bitstrings(n):
-        for sigma in subsets:
-            yield count_embeddings_exact(x, x.take(sigma))
-
-
-def null_planted_gap_experiment(alpha: float, n: int) -> GapReport:
-    """Both sides of the size-bias relation between the two laws, exactly:
-    every (x, sigma*) for the planted side and every (x, y) pair for the null
-    side (n <= 12)."""
-    if n > 12:
-        raise ValueError("exhaustive enumeration requires n <= 12")
-    m = embedded_length(alpha, n)
-    strings = list(all_bitstrings(n))
-    # Planted side: average log Z over all (x, sigma*).
-    planted_total = 0.0
-    for z in planted_counts(n, m):
-        planted_total += math.log(z)
-    planted_side = planted_total / (len(strings) * math.comb(n, m))
-    # Null side: (2^m / C(n, m)) * average of Z log Z over all (x, y).
-    null_total = 0.0
-    for x in strings:
-        for y in all_bitstrings(m):
-            z = count_embeddings_exact(x, y)
-            if z > 0:
-                null_total += z * math.log(z)
-    null_mean = null_total / (len(strings) * (1 << m))
-    null_side = (2**m / math.comb(n, m)) * null_mean
-    return GapReport(n=n, m=m, planted_side=planted_side, null_side=null_side)

@@ -22,10 +22,11 @@ above it (n > R_j) the cell it writes has no embedding of the rest of y to its
 right, and such a cell is read only by cells with the same defect.  So log Z
 is bit for bit that of the full recurrence.  The corridor lies inside
 Ukkonen's band (L_j >= j, R_j <= N - M + j).  No DP runs when L does not
-exist, as then Z = 0, or when L = R (at every M = N pair with Z > 0), as then
-the one embedding gives log Z = logaddexp(-inf, 0.0) = 0.0.  LogDPTable,
-which sees only weight rows, skips only the entries past its row count,
-which are still Z = 0.
+exist, as then Z = 0, or when L = R, as then the one embedding gives
+log Z = logaddexp(-inf, 0.0) = 0.0.  At M = N the identity is the only
+candidate, so the corridor is not built: log Z is 0.0 if x = y, else -inf.
+LogDPTable, which sees only weight rows, skips only the entries past its row
+count, which are still Z = 0.
 
 The rank-one kernel keeps its row in slots: cell 0, then the cells j+1 with
 y_j = 0, then those with y_j = 1, each in order.  A row reading bit b writes a
@@ -108,10 +109,11 @@ class IidBernoulliHalf:
         return self.n, self.m
 
     def log_weight_rows(self) -> Iterator[np.ndarray]:
+        # _DRAW_ROWS rows per call, the values of one call per row (see IidGamma).
         rng = self.seed.rng()
-        for _ in range(self.n):
-            coins = rng.integers(0, 2, size=self.m)
-            yield np.where(coins == 1, 0.0, NEG_INF)
+        for start in range(0, self.n, _DRAW_ROWS):
+            coins = rng.integers(0, 2, size=(min(_DRAW_ROWS, self.n - start), self.m))
+            yield from np.where(coins == 1, 0.0, NEG_INF)
 
 
 @dataclass(frozen=True)
@@ -219,6 +221,8 @@ def _log_count_rank_one(x: BitString, y: BitString) -> float:
     m = len(y)
     if m == 0:
         return 0.0
+    if m == len(x):  # the one candidate embedding is the identity
+        return 0.0 if np.array_equal(x.bits, y.bits) else NEG_INF
     bounds = _corridor(x, y)
     if bounds is None:
         return NEG_INF

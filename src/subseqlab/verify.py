@@ -2,11 +2,13 @@
 
 Every check recomputes an expected value by an independent route (brute-force
 enumeration, series summation, finite differences, exact rationals) and
-compares against the fast path.  As whole processes, `fast` takes 6-9 s and
-`full`, which adds the banded kernel check at N = 20,000 and the Monte Carlo
-band checks, 10-16 s (shared 2-vCPU Intel Xeon).  Each check is written here
-once.  The test suite runs every check in FULL_CHECKS once, at its defaults;
-other tests call checks with their own pair counts and seeds, or on a mutant.
+compares against the fast path.  Every route that only checks read lives
+here, apart from `partition.LogDPTable`, and the CLI imports this module only
+for `verify`.  As whole processes, `fast` takes 6-9 s and `full`, which adds
+the banded kernel check at N = 20,000 and the Monte Carlo band checks,
+10-16 s (shared 2-vCPU Intel Xeon).  Each check is written here once.  The
+test suite runs every check in FULL_CHECKS once, at its defaults; other tests
+call checks with their own pair counts and seeds, or on a mutant.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import alignment, annealed, capacity, montecarlo
-from .core import BitString, Seed, embedded_length, sample_null, sample_planted
+from .core import BitString, Seed, all_bitstrings, embedded_length, sample_null, sample_planted
 from .partition import (
     ExplicitMatrix,
     IidBernoulliHalf,
@@ -62,10 +64,65 @@ def brute_common_subsequences(x1: BitString, x2: BitString, m: int) -> int:
     return total
 
 
+def planted_counts(n: int, m: int):
+    """Yield Z(x, x[sigma*]) for every x in all_bitstrings(n) and, for each x,
+    every m-subset sigma* in lexicographic order: the planted law's draws."""
+    subsets = [np.array(sigma, dtype=np.int64) for sigma in itertools.combinations(range(n), m)]
+    for x in all_bitstrings(n):
+        for sigma in subsets:
+            yield count_embeddings_exact(x, x.take(sigma))
+
+
 def brute_planted_mean(n: int, m: int) -> Fraction:
     """E[Z] under the planted law, averaged exactly over every x and sigma*."""
-    counts = list(montecarlo.planted_counts(n, m))
+    counts = list(planted_counts(n, m))
     return Fraction(sum(counts), len(counts))
+
+
+@dataclass(frozen=True)
+class GapReport:
+    """Both sides of E[log Z_planted] = (2^M / C(N, M)) E[Z_null log Z_null]."""
+
+    n: int
+    m: int
+    planted_side: float
+    null_side: float
+
+
+def null_planted_gap_experiment(alpha: float, n: int) -> GapReport:
+    """Both sides of the size-bias relation between the two laws, exactly:
+    every (x, sigma*) for the planted side and every (x, y) pair for the null
+    side (n <= 12)."""
+    if n > 12:
+        raise ValueError("exhaustive enumeration requires n <= 12")
+    m = embedded_length(alpha, n)
+    strings = list(all_bitstrings(n))
+    # Planted side: average log Z over all (x, sigma*).
+    planted_total = 0.0
+    for z in planted_counts(n, m):
+        planted_total += math.log(z)
+    planted_side = planted_total / (len(strings) * math.comb(n, m))
+    # Null side: (2^m / C(n, m)) * average of Z log Z over all (x, y).
+    null_total = 0.0
+    for x in strings:
+        for y in all_bitstrings(m):
+            z = count_embeddings_exact(x, y)
+            if z > 0:
+                null_total += z * math.log(z)
+    null_mean = null_total / (len(strings) * (1 << m))
+    null_side = (2**m / math.comb(n, m)) * null_mean
+    return GapReport(n=n, m=m, planted_side=planted_side, null_side=null_side)
+
+
+def barZ_pairs_direct(n: int, m: int):
+    """Brute-force double sum over all pairs of embeddings; oracle for barZ_exact."""
+    total = 0
+    configs = list(itertools.combinations(range(n), m))
+    for sigma in configs:
+        for tau in configs:
+            overlap = sum(1 for s, t in zip(sigma, tau) if s == t)
+            total += 1 << overlap
+    return total
 
 
 def reference_log_count(env) -> float:
@@ -74,6 +131,52 @@ def reference_log_count(env) -> float:
     for row in env.log_weight_rows():
         table.advance(row)
     return table.value
+
+
+def average_local_alignment(x: BitString, y: BitString, part: alignment.Partition,
+                            params: alignment.AlignmentParams) -> float:
+    """(1/B) sum of local alignments of an explicit partition against x's blocks."""
+    b, big_b = params.b, params.big_b
+    if len(part.block_lengths) != big_b:
+        raise ValueError("partition has the wrong number of blocks")
+    xblocks = [x[i * b:(i + 1) * b] for i in range(big_b)]
+    total = 0.0
+    for xb, yb in zip(xblocks, part.blocks(y)):
+        total += alignment.local_alignment(xb, yb, params.delta)
+    return total / big_b
+
+
+def sample_induced_partition(m: int, params: alignment.AlignmentParams,
+                             rng: np.random.Generator) -> alignment.Partition:
+    """A random member of the induced family, built block by block from the
+    feasible length choices (uniform over choices at each step, not over the
+    family; fine for property tests)."""
+    big_b, b = params.big_b, params.b
+    lo_w, hi_w = params.window_ints()
+    lens = []
+    rem = m
+    exc_left = params.induced_budget
+    for i in range(big_b):
+        rest = big_b - i - 1
+        feasible = []
+        for length in range(0, min(b, rem) + 1):
+            left = rem - length
+            e_after = exc_left - (0 if lo_w <= length <= hi_w else 1)
+            if e_after < 0:
+                continue
+            exc_use = min(rest, e_after)
+            min_cov = max(0, rest - e_after) * lo_w
+            max_cov = (rest - exc_use) * hi_w + exc_use * b
+            if min_cov <= left <= max_cov:
+                feasible.append(length)
+        if not feasible:
+            raise ValueError("induced family is empty at these parameters")
+        length = int(rng.choice(feasible))
+        if not (lo_w <= length <= hi_w):
+            exc_left -= 1
+        lens.append(length)
+        rem -= length
+    return alignment.Partition(tuple(lens))
 
 
 def brute_total_alignment(x: BitString, y: BitString, params, standardized: bool) -> float:
@@ -87,7 +190,7 @@ def brute_total_alignment(x: BitString, y: BitString, params, standardized: bool
             continue
         part = alignment.Partition(lens)
         if member(part, m, params):
-            best = max(best, alignment.average_local_alignment(x, y, part, params))
+            best = max(best, average_local_alignment(x, y, part, params))
     return best
 
 
@@ -361,7 +464,7 @@ def check_digamma() -> CheckResult:
 def check_gap_product_formula() -> CheckResult:
     for n in range(1, 9):
         for m in range(1, n + 1):
-            if annealed.barZ_exact(n, m) != annealed.barZ_pairs_direct(n, m):
+            if annealed.barZ_exact(n, m) != barZ_pairs_direct(n, m):
                 return _result("annealed/gap-product-formula", False, f"(n,m)=({n},{m})")
     return _result("annealed/gap-product-formula", True, "all (n, m) with n <= 8")
 
@@ -377,7 +480,7 @@ def check_planted_mean_enumeration() -> CheckResult:
 def check_nishimori_identity() -> CheckResult:
     errors = []
     for n, m in ((4, 2), (6, 3), (8, 3)):
-        rep = montecarlo.null_planted_gap_experiment(m / n, n)
+        rep = null_planted_gap_experiment(m / n, n)
         errors.append(abs(rep.planted_side - rep.null_side))
     worst = _worst(errors)
     return _result("montecarlo/nishimori-identity", worst < 1e-12, f"(n, m) = (4, 2), (6, 3), (8, 3), worst gap {worst:.2e}")
@@ -507,7 +610,7 @@ def check_standardize_soundness(seed: int = 1007) -> CheckResult:
         m = int(0.5 * params.big_b * params.b)
         y = BitString(rng.integers(0, 2, m, dtype=np.uint8))
         for _ in range(1000):
-            part = alignment.sample_induced_partition(m, params, rng)
+            part = sample_induced_partition(m, params, rng)
             out = alignment.standardize(y, part, params)
             if not alignment.is_standardized_member(out, m, params):
                 return _result(name, False, f"eps={eps}")

@@ -9,23 +9,23 @@ from subseqlab.core import BitString, Seed, sample_uniform_string
 from subseqlab.alignment import (
     AlignmentParams,
     Partition,
-    average_local_alignment,
     displacement,
     is_good,
     is_induced_member,
     is_standardized_member,
     local_alignment,
-    sample_induced_partition,
     standardize,
     total_alignment_ind,
     total_alignment_std,
 )
 from subseqlab.verify import (
     _params as quiet_params,
+    average_local_alignment,
     check_alignment_certified_vs_full,
     check_alignment_gain_table,
     check_alignment_small_oracle,
     check_standardize_soundness,
+    sample_induced_partition,
 )
 
 NEG_INF = float("-inf")

@@ -18,7 +18,7 @@ import subseqlab.verify
 from subseqlab.cli import main
 
 
-def run_cli(args, env_extra=None):
+def run_python(python_args, env_extra=None):
     # The child imports subseqlab from where this process did, installed or not.
     src = str(pathlib.Path(subseqlab.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -26,12 +26,25 @@ def run_cli(args, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "subseqlab.cli", *args],
+        [sys.executable, *python_args],
         capture_output=True,
         text=True,
         env=env,
         timeout=600,
     )
+
+
+def run_cli(args, env_extra=None):
+    return run_python(["-m", "subseqlab.cli", *args], env_extra)
+
+
+def test_cold_start_loads_no_oracle_or_on_use_module():
+    # Every command starts from `import subseqlab.cli`; the oracle suite, the
+    # worker pool, JSON output and exact rationals load only where used.
+    on_use = ("subseqlab.verify", "concurrent.futures", "json", "fractions")
+    out = run_python(["-c", f"import sys, subseqlab.cli; print([m for m in {on_use!r} if m in sys.modules])"])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_count_basic():

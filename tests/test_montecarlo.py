@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from subseqlab import montecarlo
+from subseqlab import montecarlo, verify
 from subseqlab.annealed import null_annealed
 from subseqlab.core import Seed
 from subseqlab.montecarlo import (
@@ -17,10 +17,9 @@ from subseqlab.montecarlo import (
     estimate_polymer,
     estimate_quenched,
     mutual_info_point,
-    null_planted_gap_experiment,
     polymer_comparison_curve,
 )
-from subseqlab.verify import check_nishimori_identity
+from subseqlab.verify import check_nishimori_identity, null_planted_gap_experiment
 
 
 def test_planted_alpha_one_is_exact_zero():
@@ -122,7 +121,7 @@ def test_polymer_comparison_rows():
 def test_gap_experiment_exhaustive_identity(monkeypatch):
     # The check must reach (n, m) = (8, 3) with its 1e-12 bound, and fail on
     # a NaN side after the first size.
-    real = montecarlo.null_planted_gap_experiment
+    real = verify.null_planted_gap_experiment
 
     def shifted(shift, n_at):
         def gap(alpha, n):
@@ -131,7 +130,7 @@ def test_gap_experiment_exhaustive_identity(monkeypatch):
         return gap
 
     for shift, n_at in ((1e-11, 8), (math.nan, 6)):
-        monkeypatch.setattr(montecarlo, "null_planted_gap_experiment", shifted(shift, n_at))
+        monkeypatch.setattr(verify, "null_planted_gap_experiment", shifted(shift, n_at))
         assert not check_nishimori_identity().passed
 
 

@@ -399,3 +399,14 @@ def test_gamma_rows_are_the_same_draws(scale):
             got = list(IidGamma(40, 33, shape, scale, Seed(s)).log_weight_rows())
             assert len(got) == 40
             assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
+
+
+def test_fair_coin_rows_are_the_same_draws():
+    # 40 rows cross the draw blocks and end in a partial one; each row must
+    # be the per-row rng.integers(0, 2, M) draw it always was.
+    for s in (0, 1, 7, 2024):
+        rng = Seed(s).rng()
+        expected = [np.where(rng.integers(0, 2, 33) == 1, 0.0, -np.inf) for _ in range(40)]
+        got = list(IidBernoulliHalf(40, 33, Seed(s)).log_weight_rows())
+        assert len(got) == 40
+        assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
