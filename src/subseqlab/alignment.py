@@ -35,6 +35,7 @@ expression evaluated with the same float operations, so the scores are the
 same bits.  The sweep takes each block's lengths in chunks, one numpy add and
 one max per chunk, through a scratch buffer of _SCRATCH floats (512 kB), so
 its working set beyond the tables and the DP rows is bounded at every b.
+The separation experiment runs its trials through core.fan_out.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .core import (
     Seed,
     embedded_length,
     exact_floor,
+    fan_out,
     is_typical,
     sample_planted,
     sample_uniform_string,
@@ -425,44 +427,39 @@ class AlignmentExperiment:
 TYPICAL_RETRIES = 64  # draws per trial and law that may be spent finding a typical x
 
 
-def alignment_trials(alpha: float, b: int, n: int, trials: int, seed: Seed):
-    """Yield ("planted", x, y) then ("null", x, y) for each trial, on typical
-    ambient strings of length n and |y| = floor(alpha n).
-
-    Trial t draws from the substream block [1000*t, 1000*(t+1)).  Each law
-    redraws x up to TYPICAL_RETRIES times until it is typical, and raises
-    ValueError when none is.  Pairs are drawn lazily, so a consumer's work on
-    one pair runs before the next draw.
-    """
-    m = embedded_length(alpha, n)
+def trial_pairs(params: AlignmentParams, seed: Seed) -> tuple:
+    """One trial's ("planted", x, y) and ("null", x, y), on typical ambient
+    strings of length params.n and |y| = floor(alpha n), drawn from the
+    substreams seed + [0, 1000): the planted pair from +0, the null x from
+    +100 and the null y from +200.  Each law redraws x from successive
+    substreams, up to TYPICAL_RETRIES times, until it is typical, and raises
+    ValueError when none is."""
+    n, b = params.n, params.b
+    m = embedded_length(params.alpha, n)
 
     def first_typical(draw, ambient, stream):
-        # The first of the draws from substreams stream, stream + 1, ... whose
-        # ambient string is typical.
         for retry in range(TYPICAL_RETRIES):
             d = draw(seed.substream(stream + retry))
             if is_typical(ambient(d), b):
                 return d
         raise ValueError(f"no typical ambient string at b = {b} in {TYPICAL_RETRIES} draws")
 
-    for t in range(trials):
-        base = 1000 * t
-        d = first_typical(lambda s: sample_planted(n, m, s), lambda d: d.x, base)
-        yield "planted", d.x, d.y
-        # Null trial: independent typical x and uniform y.
-        x = first_typical(lambda s: sample_uniform_string(n, s), lambda x: x, base + 100)
-        yield "null", x, sample_uniform_string(m, seed.substream(base + 200))
+    d = first_typical(lambda s: sample_planted(n, m, s), lambda d: d.x, 0)
+    x = first_typical(lambda s: sample_uniform_string(n, s), lambda x: x, 100)
+    return ("planted", d.x, d.y), ("null", x, sample_uniform_string(m, seed.substream(200)))
+
+
+def _trial_goods(params: AlignmentParams, seed: Seed) -> tuple:
+    return tuple(is_good(x, y, params) for _, x, y in trial_pairs(params, seed))
 
 
 def alignment_experiment(alpha: float, b: int, n: int, trials: int, seed: Seed) -> AlignmentExperiment:
     """Good-set frequencies under the planted and null laws on typical ambient
-    strings: the desk-scale separation witness."""
+    strings: the desk-scale separation witness.  Trial t draws from
+    seed.substream(1000 t)."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     params = AlignmentParams(alpha=alpha, b=b, n=n)
-    good = {"planted": 0, "null": 0}
-    for law, x, y in alignment_trials(alpha, b, n, trials, seed):
-        good[law] += is_good(x, y, params)
-    return AlignmentExperiment(
-        alpha=alpha, b=b, n=n, trials=trials, planted_good=good["planted"], null_good=good["null"]
-    )
+    goods = fan_out(_trial_goods, [(params, seed.substream(1000 * t)) for t in range(trials)])
+    planted_good, null_good = map(sum, zip(*goods))
+    return AlignmentExperiment(alpha, b, n, trials, planted_good, null_good)

@@ -4,8 +4,9 @@ the alignment separation experiment, and the verification suite.
 Conventions: all energies are reported in nats unless --bits is given; floats
 are printed with 12 significant digits; CSV is UTF-8 with a header row and LF
 endings; every subcommand honors --seed (default 42) and reruns are
-byte-identical.  RSM_THREADS > 1 fans grid points out to worker processes;
-per-sample substreams make the output independent of the worker count.
+byte-identical.  RSM_THREADS > 1 fans the figures' grid points and the
+alignment trials out to worker processes (core.fan_out); per-sample
+substreams make the output independent of the worker count.
 Exit codes: 0 success, 1 verification failure, 2 usage, parse or output-path
 errors (checked before any work runs).
 """

@@ -4,7 +4,8 @@ All randomness flows through :class:`Seed`, a (master, stream) pair feeding a
 PCG64 generator via numpy's SeedSequence.  Distinct (master, stream) pairs give
 statistically independent substreams, which is what makes Monte Carlo drivers
 reproducible and order-independent: sample i of an experiment always uses
-``seed.substream(i)``.
+``seed.substream(i)``.  :func:`fan_out` runs such seeded work items, serially
+or over RSM_THREADS worker processes, and returns their results in item order.
 
 Embeddings and planted index sets are 0-based strictly increasing numpy arrays.
 """
@@ -12,6 +13,7 @@ Embeddings and planted index sets are 0-based strictly increasing numpy arrays.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -58,6 +60,25 @@ class Seed:
 
     def substream(self, index: int) -> "Seed":
         return Seed(self.master, (self.stream + index) % _U64)
+
+
+def fan_out(fn, items: list) -> list:
+    """[fn(*item) for item in items], in item order.  RSM_THREADS > 1 runs
+    more than one item in that many worker processes; fn must then be a
+    picklable top-level function."""
+    raw = os.environ.get("RSM_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"RSM_THREADS must be a positive integer, got {raw!r}")
+    if workers == 1 or len(items) <= 1:
+        return [fn(*item) for item in items]
+    import concurrent.futures
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*items)))
 
 
 class BitString:

@@ -1,17 +1,16 @@
 """Quenched free-energy estimation and the capacity / polymer curves.
 
-Sample i of every estimator draws its randomness from seed.substream(i), so
-results do not depend on execution order or worker count, and identical
-(config, seed) pairs reproduce identical tables.  Samples with Z = 0
-contribute log Z := 0 to the mean (they are impossible under the planted law,
-where the planted embedding is a witness) and are reported via zero_fraction
-so callers can re-weight.
+Sample i of every estimator draws its randomness from seed.substream(i), and
+curve runs the grid points through core.fan_out, so results do not depend on
+execution order or worker count, and identical (config, seed) pairs reproduce
+identical tables.  Samples with Z = 0 contribute log Z := 0 to the mean (they
+are impossible under the planted law, where the planted embedding is a
+witness) and are reported via zero_fraction so callers can re-weight.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .capacity import dgv_lower_bound, upper_bound_uniform_capacity
 from .annealed import LN2, strict_weak_value
-from .core import Seed, embedded_length, sample_channel, sample_null, sample_planted
+from .core import Seed, embedded_length, fan_out, sample_channel, sample_null, sample_planted
 from .partition import IidBernoulliHalf, IidGamma, RankOneIndicator, log_count_embeddings
 from .special import binary_entropy
 
@@ -123,28 +122,11 @@ class CurveSpec:
 
 
 def curve(point, spec: CurveSpec) -> list:
-    """Map point(v, n, samples, seed) over spec.grid, in grid order.
-
-    Grid point g draws from spec.seed.substream(g * spec.samples), so its
-    samples use disjoint substreams and the rows do not depend on the worker
-    count.  RSM_THREADS > 1 fans the points out to that many worker
-    processes; point must then be a picklable top-level function.
-    """
-    raw = os.environ.get("RSM_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"RSM_THREADS must be a positive integer, got {raw!r}")
-    work = [(v, spec.n, spec.samples, spec.seed.substream(g * spec.samples)) for g, v in enumerate(spec.grid)]
-    if workers == 1 or len(work) <= 1:
-        return [point(*args) for args in work]
-    import concurrent.futures
-
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(point, *args) for args in work]
-        return [f.result() for f in futures]
+    """Map point(v, n, samples, seed) over spec.grid, in grid order, with
+    core.fan_out.  Grid point g draws from spec.seed.substream(g * spec.samples),
+    so its samples use disjoint substreams."""
+    return fan_out(point, [(v, spec.n, spec.samples, spec.seed.substream(g * spec.samples))
+                           for g, v in enumerate(spec.grid)])
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,19 @@ _DRAW_ROWS = 16
 # ---------------------------------------------------------------------------
 
 
+def _iid_rows(env, draw) -> Iterator[np.ndarray]:
+    """The log-weight rows of an i.i.d. environment whose weights come from
+    draw(rng, size) on env.seed's generator, _DRAW_ROWS rows per call.  numpy
+    fills a block in row-major order, so the values are those of one call per
+    row.  A weight of 0 (a tail coin, or an underflow) has log weight -inf."""
+    rng = env.seed.rng()
+    for start in range(0, env.n, _DRAW_ROWS):
+        block = draw(rng, (min(_DRAW_ROWS, env.n - start), env.m))
+        with np.errstate(divide="ignore"):
+            np.log(block, out=block)
+        yield from block
+
+
 @dataclass(frozen=True)
 class RankOneIndicator:
     """B[n, m] = 1 when x_n = y_m, else 0: the two-string embedding count."""
@@ -109,11 +122,7 @@ class IidBernoulliHalf:
         return self.n, self.m
 
     def log_weight_rows(self) -> Iterator[np.ndarray]:
-        # _DRAW_ROWS rows per call, the values of one call per row (see IidGamma).
-        rng = self.seed.rng()
-        for start in range(0, self.n, _DRAW_ROWS):
-            coins = rng.integers(0, 2, size=(min(_DRAW_ROWS, self.n - start), self.m))
-            yield from np.where(coins == 1, 0.0, NEG_INF)
+        return _iid_rows(self, lambda rng, size: rng.integers(0, 2, size=size).astype(float))
 
 
 @dataclass(frozen=True)
@@ -141,22 +150,12 @@ class IidGamma:
         return self.n, self.m
 
     def log_weight_rows(self) -> Iterator[np.ndarray]:
-        # Rows are drawn _DRAW_ROWS at a time; numpy fills a block in row-major
-        # order, so the values are those of one call per row.  Gamma(1, s) is
-        # computed as s times a standard exponential, which is bit for bit
-        # what rng.gamma(1.0, s) returns, through numpy's faster fill loop.  A
-        # draw that underflows to 0 (small shapes) has log weight -inf.
-        rng = self.seed.rng()
-        for start in range(0, self.n, _DRAW_ROWS):
-            size = (min(_DRAW_ROWS, self.n - start), self.m)
-            if self.shape == 1.0:
-                block = rng.standard_exponential(size)
-                block *= self.scale
-            else:
-                block = rng.gamma(self.shape, self.scale, size=size)
-            with np.errstate(divide="ignore"):
-                np.log(block, out=block)
-            yield from block
+        # Gamma(1, s) is computed as s times a standard exponential, which is
+        # bit for bit what rng.gamma(1.0, s) returns, through numpy's faster
+        # fill loop.
+        if self.shape == 1.0:
+            return _iid_rows(self, lambda rng, size: self.scale * rng.standard_exponential(size))
+        return _iid_rows(self, lambda rng, size: rng.gamma(self.shape, self.scale, size=size))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import time
 
 import pytest
@@ -18,3 +19,18 @@ def check_result():
         return results[check]
 
     return result_of
+
+
+@pytest.fixture
+def mutant():
+    """mutant(fn, old, new): fn rebuilt from its source with the one
+    occurrence of old replaced by new, run in fn's module namespace."""
+
+    def build(fn, old, new):
+        source = inspect.getsource(fn)
+        assert source.count(old) == 1
+        namespace = {}
+        exec(source.replace(old, new), fn.__globals__, namespace)
+        return namespace[fn.__name__]
+
+    return build

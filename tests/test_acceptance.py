@@ -30,7 +30,7 @@ import time
 
 import numpy as np
 
-from subseqlab.alignment import AlignmentParams, alignment_experiment, alignment_trials, total_alignment_ind
+from subseqlab.alignment import AlignmentParams, alignment_experiment, total_alignment_ind, trial_pairs
 from subseqlab.annealed import null_annealed, strict_weak_value
 from subseqlab.capacity import skip_vector_lower_bound
 from subseqlab.core import Seed, embedded_length
@@ -198,8 +198,9 @@ def test_criterion_12_alignment_separation():
     params = AlignmentParams(alpha=alpha, b=b, n=n)
     threshold = 0.5 + params.beta_star
     scores = {"planted": [], "null": []}
-    for law, x, y in alignment_trials(alpha, b, n, trials, seed):
-        scores[law].append(total_alignment_ind(x, y, params))
+    for t in range(trials):
+        for law, x, y in trial_pairs(params, seed.substream(1000 * t)):
+            scores[law].append(total_alignment_ind(x, y, params))
     planted, null = np.array(scores["planted"]), np.array(scores["null"])
     planted_good, null_good = planted >= threshold, null >= threshold
     head = alignment_experiment(alpha, b, n, 2, seed)

@@ -1,4 +1,3 @@
-import inspect
 import math
 
 import numpy as np
@@ -97,7 +96,7 @@ PINNED_SCORES = {
 @pytest.mark.parametrize("eps", sorted(PINNED_SCORES))
 def test_dp_scores_pinned_at_twenty_blocks(eps):
     params = quiet_params(alpha=0.5, b=16, n=320, epsilon=eps)
-    pairs = list(alignment.alignment_trials(0.5, 16, 320, 2, Seed(3)))
+    pairs = [pair for t in range(2) for pair in alignment.trial_pairs(params, Seed(3).substream(1000 * t))]
     assert [law for law, _, _ in pairs] == ["planted", "null"] * 2
     assert tuple(total_alignment_ind(x, y, params) for _, x, y in pairs) == PINNED_SCORES[eps]
     assert tuple(total_alignment_std(x, y, params) for _, x, y in pairs) == PINNED_SCORES[eps]
@@ -110,7 +109,7 @@ PINNED_SCORES_B64 = (0.8594636720256393, 0.8345985830881056, 0.8847326650816959,
 
 def test_dp_scores_pinned_at_benchmark_size():
     params = quiet_params(alpha=0.5, b=64, n=6400)
-    pairs = list(alignment.alignment_trials(0.5, 64, 6400, 2, Seed(1212)))
+    pairs = [pair for t in range(2) for pair in alignment.trial_pairs(params, Seed(1212).substream(1000 * t))]
     assert [law for law, _, _ in pairs] == ["planted", "null"] * 2
     assert tuple(total_alignment_ind(x, y, params) for _, x, y in pairs) == PINNED_SCORES_B64
     assert tuple(total_alignment_std(x, y, params) for _, x, y in pairs) == PINNED_SCORES_B64
@@ -138,7 +137,7 @@ def test_full_dp_decides_when_the_certificate_fails(monkeypatch):
     # one-row supremum (0.8394645708137999) exceeds the constrained one, so
     # the multi-row DP must run and give the pinned value.
     params = quiet_params(alpha=0.5, b=16, n=320, epsilon=0.4)
-    law, x, y = list(alignment.alignment_trials(0.5, 16, 320, 1, Seed(35)))[1]
+    law, x, y = alignment.trial_pairs(params, Seed(35))[1]
     assert law == "null"
     rows, sweep = [], alignment._sweep
 
@@ -177,14 +176,6 @@ def test_chunk_seams_keep_the_bands(monkeypatch):
     assert result.passed, result.detail
 
 
-def _mutant_sweep(old, new):
-    source = inspect.getsource(alignment._sweep)
-    assert source.count(old) == 1
-    namespace = {}
-    exec(source.replace(old, new), vars(alignment), namespace)
-    return namespace["_sweep"]
-
-
 @pytest.mark.parametrize(
     "old, new",
     [
@@ -195,9 +186,9 @@ def _mutant_sweep(old, new):
     ],
     ids=["lag-off-by-one", "conforming-to-wrong-row"],
 )
-def test_checks_catch_sweep_mutants_at_seams(monkeypatch, old, new):
+def test_checks_catch_sweep_mutants_at_seams(monkeypatch, mutant, old, new):
     monkeypatch.setattr(alignment, "_SCRATCH", SEAM_SCRATCH)
-    monkeypatch.setattr(alignment, "_sweep", _mutant_sweep(old, new))
+    monkeypatch.setattr(alignment, "_sweep", mutant(alignment._sweep, old, new))
     assert not (check_alignment_small_oracle().passed and check_alignment_certified_vs_full().passed)
 
 
@@ -205,7 +196,7 @@ def test_multi_row_sweep_at_b128_crosses_seams(monkeypatch):
     # Trial 1's null pair at b = 128: the one-row certificate fails, and the
     # 20-row sweep runs with several position tiles per block.
     params = quiet_params(alpha=0.5, b=128, n=12800)
-    law, x, y = list(alignment.alignment_trials(0.5, 128, 12800, 2, Seed(1212)))[3]
+    law, x, y = alignment.trial_pairs(params, Seed(1212).substream(1000))[1]
     assert law == "null"
     rows, sweep = [], alignment._sweep
 

@@ -182,6 +182,12 @@ GOLDEN = {
         "0.25,0.388193716791,0.378528798553,0.00129188012375,0\n"
         "0.5,0.337006913941,0.188138548795,0.0940740179172,0.333333333333\n",
     ),
+    "alignment-experiment": (
+        ["alignment-experiment", "--b", "16", "--n", "320", "--trials", "4", "--seed", "2"],
+        "law,trials,good_count,good_frequency\n"
+        "planted,4,4,1\n"
+        "null,4,4,1\n",
+    ),
 }
 
 
@@ -195,28 +201,27 @@ def test_worker_count_does_not_change_output(tmp_path, command):
     assert p1.read_bytes() == p2.read_bytes() == golden.encode()
 
 
+@pytest.mark.parametrize("command", ["figure2", "alignment-experiment"])
 @pytest.mark.parametrize("threads", ["0", "-3"])
-def test_non_positive_rsm_threads_exits_2(threads):
-    out = run_cli(
-        ["figure2", "--alphas", "0.25,0.5", "--n", "50", "--samples", "2"],
-        env_extra={"RSM_THREADS": threads},
-    )
+def test_non_positive_rsm_threads_exits_2(threads, command):
+    out = run_cli(GOLDEN[command][0], env_extra={"RSM_THREADS": threads})
     assert out.returncode == 2
     assert "RSM_THREADS" in out.stderr
 
 
-def test_figure2_fans_out_to_rsm_threads_workers(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["figure2", "alignment-experiment"])
+def test_fans_out_to_rsm_threads_workers(tmp_path, monkeypatch, command):
     built = []
 
     def recording_pool(max_workers):
-        # One thread runs the points in turn, so they stay in this process.
+        # One thread runs the work items in turn, so they stay in this process.
         built.append(max_workers)
         return concurrent.futures.ThreadPoolExecutor(max_workers=1)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     monkeypatch.setenv("RSM_THREADS", "2")
-    args, golden = GOLDEN["figure2"]
-    out = tmp_path / "f2.csv"
+    args, golden = GOLDEN[command]
+    out = tmp_path / "out.csv"
     assert main(args + ["--out", str(out)]) == 0
     assert built == [2]
     assert out.read_text() == golden

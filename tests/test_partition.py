@@ -1,4 +1,3 @@
-import inspect
 import math
 import tracemalloc
 import warnings
@@ -190,14 +189,6 @@ def test_unique_embedding_has_log_count_zero(x, y):
     assert log_count_embeddings(RankOneIndicator(x, y)) == 0.0
 
 
-def _mutant_rank_one(old, new):
-    source = inspect.getsource(partition._log_count_rank_one)
-    assert source.count(old) == 1
-    namespace = {}
-    exec(source.replace(old, new), vars(partition), namespace)
-    return namespace["_log_count_rank_one"]
-
-
 @pytest.mark.parametrize(
     "old, new",
     [
@@ -212,8 +203,8 @@ def _mutant_rank_one(old, new):
     ],
     ids=["slot-by-next-bit", "no-gathered-copy", "exit-on-ends"],
 )
-def test_checks_catch_rank_one_slot_mutants(monkeypatch, old, new):
-    monkeypatch.setattr(partition, "_log_count_rank_one", _mutant_rank_one(old, new))
+def test_checks_catch_rank_one_slot_mutants(monkeypatch, mutant, old, new):
+    monkeypatch.setattr(partition, "_log_count_rank_one", mutant(partition._log_count_rank_one, old, new))
     assert not check_rank_one_vs_generic().passed
 
 
